@@ -150,9 +150,6 @@ def delta_weight(c: CartanA) -> AffineWeight:
     """The null root delta = (0, ..., 0; 1)."""
     return AffineWeight((0,) * c.m, Fraction(1))
 
-def cl_zero(c: CartanA) -> ClWeight:
-    return ClWeight((0,) * c.m)
-
 def cl_simple_root(c: CartanA, i: int) -> ClWeight:
     """cl(alpha_i): the delta coefficient is dropped."""
     c.check_node(i)

@@ -16,7 +16,7 @@ from .charring import char_to_json
 from .crystal import graph_dot, graph_json
 from .dark import (DarkSpec, FactorWord, build, dark_to_json, lhs_character,
                    rhs_character, verify_detail)
-from .energy import energy_table, total_D
+from .energy import pair_energies, total_D
 from .kr import parse_tensor
 from .selftest import CRITERIA, run_all
 from .weyl import kr_translation_data, reduced_word
@@ -162,15 +162,7 @@ def _cmd_energy(args) -> int:
     for b, (r, s) in zip(x.factors, shapes):
         if b.shape != (r, s):
             raise ValueError(f"factor {b.text()} does not have shape {r}x{s}")
-    fs = x.factors
-    pairs = []
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            t = fs[j]
-            for k in range(j - 1, i, -1):
-                t = energy_table(c, fs[k].shape, t.shape).R[(fs[k], t)][0]
-            pairs.append((i + 1, j + 1,
-                          energy_table(c, fs[i].shape, t.shape).H[(fs[i], t)]))
+    pairs = [(i + 1, j + 1, h) for i, j, h in pair_energies(x)]
     d = total_D(x)
     if args.json:
         print(json.dumps({"D": d,

@@ -1,27 +1,35 @@
 """Combinatorial R-matrix and energy on tensor products of KR crystals.
 
-R between two rectangle crystals is the unique classical isomorphism, found
-by matching classical highest elements by weight (products of two rectangles
-are multiplicity free; violations raise).  The local energy H is normalized
-to 0 on the pair of classical highest elements and propagated over all
-arrows: classical arrows preserve H, and a 0-arrow shifts it by +1 / -1 when
-e_0 acts on the left / right factor both before and after applying R.
+Both are computed per pair on first lookup, from the classical highest
+element u of the pair's classical component (Shimozono 2002):
+
+- R is the unique classical isomorphism.  It sends u to the highest element
+  of the same weight in the swapped product (products of two rectangles are
+  multiplicity free; violations raise), and the rest of the component along
+  the lowering word that leads from u back to the pair.
+- The local energy H is constant on classical components.  The content of u
+  is a partition lambda, and H = -(number of boxes of lambda below row
+  max(r, r')) for rectangles with r and r' rows.  So H = 0 on the pair of
+  classical highest elements.
+
+The breadth-first propagation of H over all arrows, which fills whole tables,
+is kept as the independent oracle `selftest.EnergyOracle`.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from .cartan import CartanA
 from .crystal import (ModelConsistencyError, TensorElt, classical_highest_path,
                       eps)
-from .kr import RectTableau, generate
+from .kr import generate
 
 _TABLES: dict = {}
 
 
 class EnergyTable:
-    """R and H for one ordered pair of rectangle crystals."""
+    """R and H for one ordered pair of rectangle crystals.  R and H hold the
+    entries known so far: the classical highest elements from construction,
+    and every pair a lookup has passed through since."""
 
     def __init__(self, c: CartanA, shape_left: tuple[int, int],
                  shape_right: tuple[int, int]):
@@ -30,86 +38,62 @@ class EnergyTable:
         self.shape_right = shape_right
         left = generate(c, *shape_left)
         right = generate(c, *shape_right)
-        self.R = self._build_r(left, right)
-        self.H = self._build_h(left, right)
+        highest = self._hw_by_weight(left, right)
+        swapped = self._hw_by_weight(right, left)
+        if set(highest) != set(swapped):
+            raise ModelConsistencyError("highest weights of swapped pair differ")
+        rows = max(shape_left[0], shape_right[0])
+        self.R = {u.factors: swapped[w].factors for w, u in highest.items()}
+        self.H = {u.factors: -sum(_content(u)[rows:]) for u in highest.values()}
 
     def _hw_by_weight(self, A, B):
+        """Classical highest elements of A (x) B by weight.  Their left factor
+        is the highest element of A: its '-' signs come first, so nothing can
+        cancel them, and only the |B| tensors with that left factor are
+        scanned."""
+        top, _ = classical_highest_path(A[0])
         out = {}
-        for a in A:
-            for b in B:
-                t = TensorElt((a, b))
-                if all(eps(t, i) == 0 for i in self.cartan.classical_nodes):
-                    w = t.clweight()
-                    if w in out:
-                        raise ModelConsistencyError(
-                            "classical multiplicity in a rectangle pair")
-                    out[w] = t
+        for b in B:
+            t = TensorElt((top, b))
+            if all(eps(t, i) == 0 for i in self.cartan.classical_nodes):
+                w = t.clweight()
+                if w in out:
+                    raise ModelConsistencyError(
+                        "classical multiplicity in a rectangle pair")
+                out[w] = t
         return out
 
-    def _build_r(self, left, right):
-        fwd = self._hw_by_weight(left, right)
-        bwd = self._hw_by_weight(right, left)
-        if set(fwd) != set(bwd):
-            raise ModelConsistencyError("highest weights of swapped pair differ")
-        table = {}
-        for a in left:
-            for b in right:
-                t = TensorElt((a, b))
-                hw, word = classical_highest_path(t)
-                img = bwd[hw.clweight()]
-                for i in reversed(word):
-                    img = img.f(i)
-                    if img is None:
-                        raise ModelConsistencyError("R transport left the crystal")
-                table[(a, b)] = img.factors
-        return table
+    def entry(self, a, b) -> tuple[tuple, int]:
+        """(R(a (x) b) as a factor pair, H(a (x) b)).  A new pair is raised
+        along classical nodes, smallest index first, until it meets a known
+        entry; R is carried back down the same word and H is copied, which
+        sets the entry of every pair on the way."""
+        key = (a, b)
+        if key not in self.H:
+            x, steps = TensorElt(key), []
+            while x.factors not in self.H:
+                for i in self.cartan.classical_nodes:
+                    y = x.e(i)
+                    if y is not None:
+                        steps.append((x.factors, i))
+                        x = y
+                        break
+                else:
+                    raise ModelConsistencyError("highest element missed by the scan")
+            img, h = TensorElt(self.R[x.factors]), self.H[x.factors]
+            for pair, i in reversed(steps):
+                img = img.f(i)
+                if img is None:
+                    raise ModelConsistencyError("R transport left the crystal")
+                self.R[pair] = img.factors
+                self.H[pair] = h
+        return self.R[key], self.H[key]
 
-    def _zero_step(self, x: TensorElt) -> int:
-        """H(e_0 x) - H(x), requiring e_0 x != 0."""
-        y = x.e(0)
-        left_here = y.factors[1] == x.factors[1]
-        rx = TensorElt(self.R[x.factors])
-        ry = rx.e(0)
-        if ry is None:
-            raise ModelConsistencyError("e_0 defined on x but not on R(x)")
-        left_r = ry.factors[1] == rx.factors[1]
-        if left_here and left_r:
-            return 1
-        if not left_here and not left_r:
-            return -1
-        return 0
 
-    def _build_h(self, left, right):
-        u1, _ = classical_highest_path(left[0])
-        u2, _ = classical_highest_path(right[0])
-        start = (u1, u2)
-        values = {start: 0}
-        queue = deque([start])
-        while queue:
-            pair = queue.popleft()
-            x = TensorElt(pair)
-            hx = values[pair]
-            for i in self.cartan.nodes:
-                up = x.e(i)
-                if up is not None:
-                    hv = hx + (self._zero_step(x) if i == 0 else 0)
-                    self._record(values, queue, up.factors, hv)
-                down = x.f(i)
-                if down is not None:
-                    hv = hx - (self._zero_step(down) if i == 0 else 0)
-                    self._record(values, queue, down.factors, hv)
-        if len(values) != len(left) * len(right):
-            raise ModelConsistencyError("tensor product not connected by arrows")
-        return values
-
-    @staticmethod
-    def _record(values, queue, pair, hv):
-        if pair in values:
-            if values[pair] != hv:
-                raise ModelConsistencyError("inconsistent local energy assignment")
-        else:
-            values[pair] = hv
-            queue.append(pair)
+def _content(x: TensorElt) -> list[int]:
+    """How often each letter occurs in x; a partition when x is classical
+    highest."""
+    return [sum(col) for col in zip(*(f.content() for f in x.factors))]
 
 
 def energy_table(c: CartanA, shape_left, shape_right) -> EnergyTable:
@@ -119,33 +103,39 @@ def energy_table(c: CartanA, shape_left, shape_right) -> EnergyTable:
     return _TABLES[key]
 
 
-def _pair_table(x: TensorElt) -> EnergyTable:
+def _pair_entry(x: TensorElt) -> tuple[tuple, int]:
     if len(x.factors) != 2:
         raise ValueError("expected a two-factor tensor element")
     a, b = x.factors
-    return energy_table(x.cartan, a.shape, b.shape)
+    return energy_table(x.cartan, a.shape, b.shape).entry(a, b)
 
 
 def comb_R(x: TensorElt) -> TensorElt:
     """The combinatorial R-matrix image in the swapped product."""
-    return TensorElt(_pair_table(x).R[x.factors])
+    return TensorElt(_pair_entry(x)[0])
 
 
 def local_H(x: TensorElt) -> int:
-    return _pair_table(x).H[x.factors]
+    return _pair_entry(x)[1]
+
+
+def pair_energies(x: TensorElt) -> list[tuple[int, int, int]]:
+    """(i, j, H) for each pair of factor positions i < j, counted from 0:
+    H(b_i, b_j pulled next to b_i), moving factor j left with successive R
+    applications."""
+    fs = x.factors
+    c = x.cartan
+    out = []
+    for i in range(len(fs)):
+        for j in range(i + 1, len(fs)):
+            t = fs[j]
+            for k in range(j - 1, i, -1):
+                t = energy_table(c, fs[k].shape, t.shape).entry(fs[k], t)[0][0]
+            out.append((i, j, energy_table(c, fs[i].shape, t.shape).entry(fs[i], t)[1]))
+    return out
 
 
 def total_D(x: TensorElt) -> int:
-    """Total energy: sum over pairs i < j of H(b_i, b_j pulled next to b_i),
-    moving factor j left with successive R applications.  Rectangle crystals
-    are classically irreducible, so there are no single-factor terms."""
-    fs = x.factors
-    c = x.cartan
-    total = 0
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            t: RectTableau = fs[j]
-            for k in range(j - 1, i, -1):
-                t = energy_table(c, fs[k].shape, t.shape).R[(fs[k], t)][0]
-            total += energy_table(c, fs[i].shape, t.shape).H[(fs[i], t)]
-    return total
+    """Total energy: the sum of pair_energies.  Rectangle crystals are
+    classically irreducible, so there are no single-factor terms."""
+    return sum(h for _, _, h in pair_energies(x))

@@ -8,16 +8,18 @@ ordering or wall time, so repeated runs print identical bytes.
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
 from .cartan import (AffineWeight, CartanA, cl_simple_root, reflect, rotate,
                      simple_root)
 from .charring import CharPoly, demazure_op, sigma_act
-from .crystal import TensorElt, demazure_closure, eps, phi
+from .crystal import (ModelConsistencyError, TensorElt, classical_highest_path,
+                      demazure_closure, eps, phi)
 from .dark import DarkSpec, FactorWord, build, full_tensor, verify, \
     well_definedness_check
-from .energy import comb_R, energy_table
+from .energy import comb_R, local_H
 from .kr import find_b_rs, generate, promotion, promotion_inverse, twist
 from .weyl import bruhat_lower_interval, kr_translation_data, reduced_word
 
@@ -305,9 +307,71 @@ def criterion_identity() -> str:
     return f"{len(specs)} specs, {len(groups)} (lambda, r) classes, anchor C=-1/4"
 
 
+class EnergyOracle:
+    """R and H on all of B1 (x) B2 by breadth-first search over every arrow;
+    the independent oracle for the per-pair rule in `energy`.
+
+    At the pair of classical highest elements R swaps the factors and H is 0.
+    R commutes with every e_i and f_i.  Classical arrows preserve H, and a
+    0-arrow shifts it by +1 / -1 when e_0 acts on the left / right factor both
+    before and after applying R.  Construction raises ModelConsistencyError
+    when two paths disagree or the search misses a pair."""
+
+    def __init__(self, c: CartanA, shape_left, shape_right):
+        left = generate(c, *shape_left)
+        right = generate(c, *shape_right)
+        u1, _ = classical_highest_path(left[0])
+        u2, _ = classical_highest_path(right[0])
+        start = (u1, u2)
+        self.R = {start: (u2, u1)}
+        self.H = {start: 0}
+        queue = deque([start])
+        while queue:
+            pair = queue.popleft()
+            x = TensorElt(pair)
+            rx = TensorElt(self.R[pair])
+            hx = self.H[pair]
+            for i in c.nodes:
+                up, r_up = x.e(i), rx.e(i)
+                down, r_down = x.f(i), rx.f(i)
+                if (up is None) != (r_up is None) or (down is None) != (r_down is None):
+                    raise ModelConsistencyError(f"R does not commute with node {i}")
+                if up is not None:
+                    hv = hx + (self._zero_step(x, up, rx, r_up) if i == 0 else 0)
+                    self._record(queue, up, r_up, hv)
+                if down is not None:
+                    hv = hx - (self._zero_step(down, x, r_down, rx) if i == 0 else 0)
+                    self._record(queue, down, r_down, hv)
+        if len(self.H) != len(left) * len(right):
+            raise ModelConsistencyError("tensor product not connected by arrows")
+
+    @staticmethod
+    def _zero_step(x, y, rx, ry) -> int:
+        """H(y) - H(x) for y = e_0 x, with rx = R(x) and ry = R(y)."""
+        left_here = y.factors[1] == x.factors[1]
+        left_r = ry.factors[1] == rx.factors[1]
+        if left_here and left_r:
+            return 1
+        if not left_here and not left_r:
+            return -1
+        return 0
+
+    def _record(self, queue, y, ry, hv):
+        pair = y.factors
+        if pair in self.H:
+            if self.H[pair] != hv:
+                raise ModelConsistencyError("inconsistent local energy assignment")
+            if self.R[pair] != ry.factors:
+                raise ModelConsistencyError("inconsistent R assignment")
+        else:
+            self.R[pair] = ry.factors
+            self.H[pair] = hv
+            queue.append(pair)
+
+
 def criterion_energy() -> str:
-    """R is an involution commuting with all operators; Yang-Baxter; the
-    local-energy propagation is consistent on every grid pair."""
+    """R is an involution commuting with all operators; Yang-Baxter; R and H
+    match the breadth-first oracle on every grid pair."""
     pairs = 0
     for n in AXIOM_RANKS:
         c = CartanA(n)
@@ -316,12 +380,16 @@ def criterion_energy() -> str:
         for sh1, sh2 in product(shapes, repeat=2):
             if len(singles[sh1]) * len(singles[sh2]) > PRODUCT_CAP:
                 continue
-            energy_table(c, sh1, sh2)  # raises on any BFS inconsistency
+            oracle = EnergyOracle(c, sh1, sh2)
             pairs += 1
             for a in singles[sh1]:
                 for b in singles[sh2]:
                     x = TensorElt((a, b))
                     rx = comb_R(x)
+                    _need(rx.factors == oracle.R[(a, b)],
+                          "R differs from the oracle at %r", x)
+                    _need(local_H(x) == oracle.H[(a, b)],
+                          "H differs from the oracle at %r", x)
                     _need(comb_R(rx) == x, "R^2 != id at %r", x)
                     for i in c.nodes:
                         fi = x.f(i)

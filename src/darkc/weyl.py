@@ -65,10 +65,6 @@ class ExtAffPerm:
             inv[v0 - 1] = i - (v - v0)
         return ExtAffPerm(tuple(inv))
 
-    def is_classical(self) -> bool:
-        """True when the element lies in W_0 (window permutes 1..m)."""
-        return sorted(self.win) == list(range(1, self.m + 1))
-
     def __repr__(self):
         return f"ExtAffPerm({self.win})"
 

@@ -2,10 +2,12 @@ from itertools import product
 
 import pytest
 
+from darkc import energy
 from darkc.cartan import CartanA
-from darkc.crystal import TensorElt
-from darkc.energy import comb_R, energy_table, local_H, total_D
+from darkc.crystal import TensorElt, classical_highest_path
+from darkc.energy import comb_R, local_H, total_D
 from darkc.kr import find_b_rs, generate, parse_tableau, parse_tensor
+from darkc.selftest import EnergyOracle
 
 
 def elt(n, text, r=None):
@@ -99,13 +101,41 @@ def test_r_squared_identity_mixed_shapes():
 
 
 def test_energy_tables_build_on_grid_pairs():
-    # construction itself asserts BFS consistency and multiplicity-freeness
+    # oracle construction itself asserts BFS consistency and connectedness
     for n in (1, 2):
         c = CartanA(n)
         shapes = [(r, s) for r in range(1, min(n, 2) + 1) for s in (1, 2)]
         for sh1, sh2 in product(shapes, repeat=2):
-            table = energy_table(c, sh1, sh2)
+            table = EnergyOracle(c, sh1, sh2)
             assert len(table.H) == len(generate(c, *sh1)) * len(generate(c, *sh2))
+
+
+@pytest.mark.parametrize("n, sh1, sh2", [
+    *((n, sh1, sh2) for n in (1, 2)
+      for sh1, sh2 in product([(r, s) for r in range(1, n + 1) for s in (0, 1, 2, 3)],
+                              repeat=2)),
+    (4, (1, 1), (2, 1)), (4, (2, 1), (1, 2)), (4, (3, 1), (2, 1)), (4, (1, 2), (4, 1)),
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"n{v}")
+def test_lazy_entries_match_oracle(n, sh1, sh2):
+    c = CartanA(n)
+    oracle = EnergyOracle(c, sh1, sh2)
+    for a, b in product(generate(c, *sh1), generate(c, *sh2)):
+        x = TensorElt((a, b))
+        assert comb_R(x).factors == oracle.R[(a, b)]
+        assert local_H(x) == oracle.H[(a, b)]
+
+
+def test_total_d_computes_only_the_pairs_it_needs(monkeypatch):
+    # a fresh table knows its highest elements; one lookup adds the pairs on
+    # the raising path from x, out of the 2500 in B^{2,2} (x) B^{2,2}
+    monkeypatch.setattr(energy, "_TABLES", {})
+    c = CartanA(4)
+    x = parse_tensor(c, "12/34|13/25")
+    table = energy.energy_table(c, (2, 2), (2, 2))
+    known = len(table.H)
+    assert total_D(x) == local_H(x)
+    assert list(energy._TABLES.values()) == [table]
+    assert len(table.H) - known == len(classical_highest_path(x)[1])
 
 
 def test_pair_table_requires_two_factors():
