@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, sub
 
 
 @dataclass(frozen=True)
@@ -104,14 +106,14 @@ class AffineWeight:
         return f"AffineWeight({self.lam}, {self.dlt})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClWeight:
     """Classical weight: integer coefficients of cl(Lambda_0), ..., cl(Lambda_n)."""
 
     lam: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(int(v) for v in self.lam))
+        object.__setattr__(self, "lam", tuple(map(int, self.lam)))
 
     @property
     def m(self) -> int:
@@ -127,12 +129,12 @@ class ClWeight:
     def __add__(self, other: "ClWeight") -> "ClWeight":
         if len(self.lam) != len(other.lam):
             raise ValueError("weights of different rank")
-        return ClWeight(tuple(a + b for a, b in zip(self.lam, other.lam)))
+        return ClWeight(tuple(map(add, self.lam, other.lam)))
 
     def __sub__(self, other: "ClWeight") -> "ClWeight":
         if len(self.lam) != len(other.lam):
             raise ValueError("weights of different rank")
-        return ClWeight(tuple(a - b for a, b in zip(self.lam, other.lam)))
+        return ClWeight(tuple(map(sub, self.lam, other.lam)))
 
     def __repr__(self):
         return f"ClWeight({self.lam})"
@@ -150,12 +152,14 @@ def delta_weight(c: CartanA) -> AffineWeight:
     """The null root delta = (0, ..., 0; 1)."""
     return AffineWeight((0,) * c.m, Fraction(1))
 
+@lru_cache(maxsize=None)
 def cl_simple_root(c: CartanA, i: int) -> ClWeight:
     """cl(alpha_i): the delta coefficient is dropped."""
     c.check_node(i)
     return ClWeight(tuple(c.a(j, i) for j in range(c.m)))
 
 
+@lru_cache(maxsize=None)
 def simple_root(c: CartanA, i: int) -> AffineWeight:
     """alpha_i.  Lambda coefficients are the i-th Cartan column; the delta
     coefficient is the uniform 1/m, so that sum_i alpha_i = delta exactly."""

@@ -6,12 +6,11 @@ return None when they annihilate an element, and never raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 
 from .cartan import ClWeight
-
-_STRING_CAP = 10**6
 
 
 class ModelConsistencyError(RuntimeError):
@@ -21,12 +20,20 @@ class ModelConsistencyError(RuntimeError):
 class CrystalElt:
     """Interface for crystal elements.  Implementations are immutable and
     hashable, expose their Cartan datum as `cartan`, and provide the
-    raising/lowering operators and a classical weight."""
+    raising/lowering operators, the string lengths and a classical weight.
+    They are kr.RectTableau, an element of an enumerated KR crystal, and
+    TensorElt."""
+
+    __slots__ = ()
 
     def e(self, i):
         raise NotImplementedError
 
     def f(self, i):
+        raise NotImplementedError
+
+    def stats(self, i) -> tuple[int, int]:
+        """(eps_i, phi_i): how many times e_i and f_i apply."""
         raise NotImplementedError
 
     def clweight(self) -> ClWeight:
@@ -39,44 +46,37 @@ class CrystalElt:
         raise NotImplementedError
 
 
-@lru_cache(maxsize=None)
+# eps, phi and TensorElt.e/f keep no cache keyed by element (maxsize=0): on a
+# KR crystal each is an array read, on a tensor one pass of the signature
+# rule over such reads, and such a cache would keep every element alive.
+# cache_info() still reports the entry count, 0, to callers that read it.
+@lru_cache(maxsize=0)
 def eps(b: CrystalElt, i: int) -> int:
-    """epsilon_i(b): how many times e_i applies.  Walks the string one step
-    and recurses, so the cache shares the walk among the string's elements."""
-    up = b.e(i)
-    if up is None:
-        return 0
-    k = 1 + eps(up, i)
-    if k > _STRING_CAP:
-        raise ModelConsistencyError(f"e_{i} string does not terminate")
-    return k
+    """epsilon_i(b): how many times e_i applies."""
+    return b.stats(i)[0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)
 def phi(b: CrystalElt, i: int) -> int:
-    """phi_i(b): how many times f_i applies; see eps."""
-    down = b.f(i)
-    if down is None:
-        return 0
-    k = 1 + phi(down, i)
-    if k > _STRING_CAP:
-        raise ModelConsistencyError(f"f_{i} string does not terminate")
-    return k
+    """phi_i(b): how many times f_i applies."""
+    return b.stats(i)[1]
 
 
 def stats(i: int, b: CrystalElt) -> tuple[int, int]:
-    return eps(b, i), phi(b, i)
+    return b.stats(i)
 
 
 def weight(b: CrystalElt) -> ClWeight:
     return b.clweight()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class TensorElt(CrystalElt):
-    """Ordered tensor product element; factors share one Cartan datum."""
+    """Ordered tensor product element; factors share one Cartan datum.
+    Factors may themselves be tensor elements."""
 
     factors: tuple
+    _last: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
@@ -85,62 +85,107 @@ class TensorElt(CrystalElt):
         c = self.factors[0].cartan
         if any(f.cartan != c for f in self.factors):
             raise ValueError("tensor factors with mismatched Cartan data")
-        object.__setattr__(self, "_hash", hash(self.factors))
+
+    # by hand rather than generated: these compare and hash only the factors,
+    # without building a tuple of fields first
+    def __eq__(self, other):
+        if type(other) is not TensorElt:
+            return NotImplemented
+        return self.factors == other.factors
 
     def __hash__(self):
-        return self._hash
+        return hash(self.factors)
 
     @property
     def cartan(self):
         return self.factors[0].cartan
 
-    def _signs(self, i):
-        """Per-factor sign sequence, eps copies of '-' then phi copies of '+',
-        reduced by cancelling '+' immediately followed by '-'."""
-        out = []  # list of (sign, factor index)
-        for idx, b in enumerate(self.factors):
-            for _ in range(eps(b, i)):
-                if out and out[-1][0] == "+":
-                    out.pop()
-                else:
-                    out.append(("-", idx))
-            out.extend(("+", idx) for _ in range(phi(b, i)))
-        return out
+    def _rule(self, i):
+        """Kashiwara's signature rule on the factors' (eps_i, phi_i): factor
+        by factor, eps_i signs '-' then phi_i signs '+', where a '+' cancels
+        a later '-'.  Folded left to right, it returns (eps_i, phi_i, the
+        factor of the rightmost uncancelled '-', the factor of the leftmost
+        uncancelled '+'); a factor is None when no such sign is left.  A
+        factor that is not a tensor is an element of a KR table, whose eps
+        and phi arrays are read directly.  The element keeps the result for
+        the last node asked, which e_i, f_i, eps_i and phi_i usually share."""
+        last = self._last
+        if last is not None and last[0] == i:
+            return last[1]
+        ep = ph = k = 0
+        up = down = None
+        for b in self.factors:
+            if type(b) is TensorElt:
+                eb, pb = b._rule(i)[:2]
+            else:
+                table = b.table
+                eb = table.eps[i][b.pos]
+                pb = table.phi[i][b.pos]
+            if eb > ph:
+                ep += eb - ph
+                up = k
+                ph = pb
+                down = k if pb else None
+            elif eb == ph:
+                ph = pb
+                down = k if pb else None
+            else:
+                ph += pb - eb
+            k += 1
+        result = ep, ph, up, down
+        _set_last(self, (i, result))
+        return result
 
-    @lru_cache(maxsize=None)
+    def stats(self, i) -> tuple[int, int]:
+        return self._rule(i)[:2]
+
+    @lru_cache(maxsize=0)
     def e(self, i):
-        surv = self._signs(i)
-        idx = next((k for s, k in reversed(surv) if s == "-"), None)
+        idx = self._rule(i)[2]
         if idx is None:
             return None
         b = self.factors[idx].e(i)
         if b is None:
             raise ModelConsistencyError("tensor rule chose a dead factor for e")
-        return TensorElt(self.factors[:idx] + (b,) + self.factors[idx + 1:])
+        return tensor_of(self.factors[:idx] + (b,) + self.factors[idx + 1:])
 
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=0)
     def f(self, i):
-        surv = self._signs(i)
-        idx = next((k for s, k in surv if s == "+"), None)
+        idx = self._rule(i)[3]
         if idx is None:
             return None
         b = self.factors[idx].f(i)
         if b is None:
             raise ModelConsistencyError("tensor rule chose a dead factor for f")
-        return TensorElt(self.factors[:idx] + (b,) + self.factors[idx + 1:])
+        return tensor_of(self.factors[:idx] + (b,) + self.factors[idx + 1:])
 
-    @lru_cache(maxsize=None)
     def clweight(self) -> ClWeight:
-        w = self.factors[0].clweight()
-        for b in self.factors[1:]:
-            w = w + b.clweight()
-        return w
+        lam = None
+        for b in self.factors:
+            w = b.clweight().lam if type(b) is TensorElt else b.table.wt[b.pos]
+            lam = w if lam is None else tuple(map(add, lam, w))
+        return ClWeight(lam)
 
     def sort_key(self):
         return tuple(b.sort_key() for b in self.factors)
 
     def text(self) -> str:
         return "|".join(b.text() for b in self.factors)
+
+
+# The slots themselves, past the frozen __setattr__.
+_set_factors = TensorElt.factors.__set__
+_set_last = TensorElt._last.__set__
+
+
+def tensor_of(factors: tuple) -> TensorElt:
+    """TensorElt of a nonempty factor tuple already known to share one Cartan
+    datum, such as the image of a tensor under an operator; skips the checks
+    of the constructor."""
+    x = object.__new__(TensorElt)
+    _set_factors(x, factors)
+    _set_last(x, None)
+    return x
 
 
 def f_closure(i: int, elements) -> set:

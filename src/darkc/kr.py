@@ -4,50 +4,45 @@ Elements of B^{r,s} are r x s semistandard rectangles over {1, ..., n+1}.
 Classical operators use the bracketing rule on the row reading word (bottom
 row first, rows left to right); the affine operators conjugate node 1 through
 Schuetzenberger promotion, which realizes the Dynkin rotation j -> j + 1.
+
+Each B^{r,s} is enumerated once into a KRTable, which interns its tableaux
+and holds the crystal structure as integer arrays over their indices.  The
+bracketing walks and the jeu-de-taquin slides build those arrays and stay
+available as oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cartan import CartanA, ClWeight
-from .crystal import CrystalElt, ModelConsistencyError, TensorElt, eps
+from .crystal import CrystalElt, ModelConsistencyError, TensorElt, tensor_of
+
+_TABLES: dict = {}
 
 
-@dataclass(frozen=True)
 class RectTableau(CrystalElt):
-    cartan: CartanA
-    rows: tuple[tuple[int, ...], ...]
+    """An element of B^{r,s}.  Tableaux are interned: the constructor checks
+    the rows and returns the one object its KRTable holds, so equality is
+    identity.  `table` is that KRTable and `pos` the element's index in it."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(int(v) for v in row)
-                                               for row in self.rows))
-        r = len(self.rows)
-        if r < 1:
-            raise ValueError("tableau needs at least one row")
-        if r > self.cartan.n:
-            raise ValueError(f"{r} rows exceed the rank {self.cartan.n}")
-        s = len(self.rows[0])
-        if any(len(row) != s for row in self.rows):
-            raise ValueError("ragged tableau")
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if not 1 <= v <= self.cartan.m:
-                    raise ValueError(f"entry {v} outside 1..{self.cartan.m}")
-                if j > 0 and row[j - 1] > v:
-                    raise ValueError(f"row {i} not weakly increasing")
-                if i > 0 and self.rows[i - 1][j] >= v:
-                    raise ValueError(f"column {j} not strictly increasing")
+    __slots__ = ("cartan", "rows", "table", "pos")
 
-        object.__setattr__(self, "_hash", hash((self.cartan.n, self.rows)))
+    def __new__(cls, cartan: CartanA, rows):
+        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        _check_rows(cartan, rows)
+        table = _table(cartan, len(rows), len(rows[0]))
+        return table.elements[table.index[rows]]
 
-    def __hash__(self):
-        return self._hash
+    def __setattr__(self, name, value):
+        raise AttributeError("RectTableau is immutable")
+
+    def __reduce__(self):
+        return RectTableau, (self.cartan, self.rows)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.rows[0])
+        return self.table.shape
 
     def content(self) -> tuple[int, ...]:
         counts = [0] * self.cartan.m
@@ -56,25 +51,19 @@ class RectTableau(CrystalElt):
                 counts[v - 1] += 1
         return tuple(counts)
 
-    @lru_cache(maxsize=None)
     def clweight(self) -> ClWeight:
-        c = self.content()
-        m = self.cartan.m
-        return ClWeight(tuple(c[i - 1] - c[i % m] for i in range(m)))
+        return ClWeight(self.table.wt[self.pos])
 
-    @lru_cache(maxsize=None)
     def e(self, i):
-        if i == 0:
-            t = classical_e(1, promotion(self))
-            return None if t is None else promotion_inverse(t)
-        return classical_e(i, self)
+        k = self.table.e[i][self.pos]
+        return None if k < 0 else self.table.elements[k]
 
-    @lru_cache(maxsize=None)
     def f(self, i):
-        if i == 0:
-            t = classical_f(1, promotion(self))
-            return None if t is None else promotion_inverse(t)
-        return classical_f(i, self)
+        k = self.table.f[i][self.pos]
+        return None if k < 0 else self.table.elements[k]
+
+    def stats(self, i) -> tuple[int, int]:
+        return self.table.eps[i][self.pos], self.table.phi[i][self.pos]
 
     def sort_key(self):
         return (self.shape, self.rows)
@@ -89,62 +78,99 @@ class RectTableau(CrystalElt):
         return f"RectTableau(n={self.cartan.n}, {self.text()!r})"
 
 
-def _reading_cells(T: RectTableau):
-    r, s = T.shape
-    return [(i, j) for i in range(r - 1, -1, -1) for j in range(s)]
+def _check_rows(c: CartanA, rows) -> None:
+    """Raise ValueError unless rows form a semistandard rectangle over
+    {1, ..., n+1} with 1 to n rows."""
+    r = len(rows)
+    if r < 1:
+        raise ValueError("tableau needs at least one row")
+    if r > c.n:
+        raise ValueError(f"{r} rows exceed the rank {c.n}")
+    s = len(rows[0])
+    if any(len(row) != s for row in rows):
+        raise ValueError("ragged tableau")
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if not 1 <= v <= c.m:
+                raise ValueError(f"entry {v} outside 1..{c.m}")
+            if j > 0 and row[j - 1] > v:
+                raise ValueError(f"row {i} not weakly increasing")
+            if i > 0 and rows[i - 1][j] >= v:
+                raise ValueError(f"column {j} not strictly increasing")
 
 
-def _unmatched(T: RectTableau, i: int):
+def _semistandard_rows(m: int, r: int, s: int) -> list:
+    """Every r x s semistandard rectangle over {1, ..., m} as a rows tuple,
+    in lexicographic order, filling cells in row-major order with an explicit
+    stack of positions (no recursion, so s is not bounded by the stack)."""
+    cells = r * s
+    grid = [0] * cells  # 0: the cell has no value yet
+    out = []
+    pos = 0
+    while pos >= 0:
+        if pos == cells:
+            out.append(tuple(tuple(grid[i * s:(i + 1) * s]) for i in range(r)))
+            pos -= 1
+            continue
+        if grid[pos]:
+            v = grid[pos] + 1
+        else:
+            i, j = divmod(pos, s)
+            v = 1
+            if j > 0:
+                v = max(v, grid[pos - 1])
+            if i > 0:
+                v = max(v, grid[pos - s] + 1)
+        if v > m:
+            grid[pos] = 0
+            pos -= 1
+        else:
+            grid[pos] = v
+            pos += 1
+    return out
+
+
+def _unmatched(rows, i: int):
     """Bracket entries i+1 (as '(') against later entries i (as ')') in the
     reading word; return the leftover (opens, closes) cell lists."""
     opens, closes = [], []
-    for cell in _reading_cells(T):
-        v = T.rows[cell[0]][cell[1]]
-        if v == i + 1:
-            opens.append(cell)
-        elif v == i:
-            if opens:
-                opens.pop()
-            else:
-                closes.append(cell)
+    for a in range(len(rows) - 1, -1, -1):
+        for b, v in enumerate(rows[a]):
+            if v == i + 1:
+                opens.append((a, b))
+            elif v == i:
+                if opens:
+                    opens.pop()
+                else:
+                    closes.append((a, b))
     return opens, closes
 
 
-def _with_entry(T: RectTableau, cell, v) -> RectTableau:
-    i, j = cell
-    row = T.rows[i][:j] + (v,) + T.rows[i][j + 1:]
-    return RectTableau(T.cartan, T.rows[:i] + (row,) + T.rows[i + 1:])
+def _with_entry(rows, cell, v):
+    a, b = cell
+    row = rows[a][:b] + (v,) + rows[a][b + 1:]
+    return rows[:a] + (row,) + rows[a + 1:]
 
 
-def classical_f(i: int, T: RectTableau):
-    """Lower the last unbracketed i to i+1, or None."""
-    T.cartan.check_classical(i)
-    closes = _unmatched(T, i)[1]
-    if not closes:
-        return None
-    return _with_entry(T, closes[-1], i + 1)
+def _raised(rows, i: int):
+    """The rows with the first unbracketed i+1 raised to i, or None."""
+    opens = _unmatched(rows, i)[0]
+    return _with_entry(rows, opens[0], i) if opens else None
 
 
-def classical_e(i: int, T: RectTableau):
-    """Raise the first unbracketed i+1 to i, or None."""
-    T.cartan.check_classical(i)
-    opens = _unmatched(T, i)[0]
-    if not opens:
-        return None
-    return _with_entry(T, opens[0], i)
+def _lowered(rows, i: int):
+    """The rows with the last unbracketed i lowered to i+1, or None."""
+    closes = _unmatched(rows, i)[1]
+    return _with_entry(rows, closes[-1], i + 1) if closes else None
 
 
-@lru_cache(maxsize=None)
-def promotion(T: RectTableau) -> RectTableau:
+def _promoted(rows, m: int):
     """Schuetzenberger promotion on a rectangle: delete the entries equal to
     n+1 (a suffix of the bottom row), slide the holes to the upper left by
     jeu de taquin (leftmost hole first; ties slide the cell above), increment
     everything else, and fill the holes with 1."""
-    r, s = T.shape
-    if s == 0:
-        return T
-    m = T.cartan.m
-    grid = [list(row) for row in T.rows]
+    r, s = len(rows), len(rows[0])
+    grid = [list(row) for row in rows]
     hole_cols = [j for j in range(s) if grid[r - 1][j] == m]
     for j in hole_cols:
         grid[r - 1][j] = None
@@ -161,20 +187,15 @@ def promotion(T: RectTableau) -> RectTableau:
             else:
                 grid[i][k], grid[i][k - 1] = left, None
                 k -= 1
-    rows = tuple(tuple(1 if v is None else v + 1 for v in row) for row in grid)
-    return RectTableau(T.cartan, rows)
+    return tuple(tuple(1 if v is None else v + 1 for v in row) for row in grid)
 
 
-@lru_cache(maxsize=None)
-def promotion_inverse(T: RectTableau) -> RectTableau:
+def _demoted(rows, m: int):
     """Inverse promotion: delete the 1s (a prefix of the top row), slide the
     holes to the lower right (rightmost hole first; ties slide the cell
     below), decrement everything else, and fill the holes with n+1."""
-    r, s = T.shape
-    if s == 0:
-        return T
-    m = T.cartan.m
-    grid = [list(row) for row in T.rows]
+    r, s = len(rows), len(rows[0])
+    grid = [list(row) for row in rows]
     hole_cols = [j for j in range(s) if grid[0][j] == 1]
     for j in hole_cols:
         grid[0][j] = None
@@ -191,57 +212,198 @@ def promotion_inverse(T: RectTableau) -> RectTableau:
             else:
                 grid[i][k], grid[i][k + 1] = right, None
                 k += 1
-    rows = tuple(tuple(m if v is None else v - 1 for v in row) for row in grid)
-    return RectTableau(T.cartan, rows)
+    return tuple(tuple(m if v is None else v - 1 for v in row) for row in grid)
+
+
+def _string_lengths(step: list[int], i: int) -> list[int]:
+    """For each index, how often `step` applies before it gives -1, walking
+    each string once and iteratively."""
+    out = [-1] * len(step)
+    for k in range(len(step)):
+        path = []
+        j = k
+        while j >= 0 and out[j] < 0:
+            path.append(j)
+            if len(path) > len(step):
+                raise ModelConsistencyError(f"node {i} string does not terminate")
+            j = step[j]
+        length = -1 if j < 0 else out[j]
+        for p in reversed(path):
+            length += 1
+            out[p] = length
+    return out
+
+
+class _ByNode(dict):
+    """Arrays keyed by node; a node out of range raises IndexError."""
+
+    def __missing__(self, i):
+        raise IndexError(f"node {i} out of range")
+
+
+class KRTable:
+    """B^{r,s} enumerated once.  `elements` holds the interned tableaux in
+    canonical order and `index` maps rows to their position.  The arrays over
+    positions are built on first use:
+
+    - e[i][k], f[i][k]: the position of e_i / f_i of element k, or -1;
+    - eps[i][k], phi[i][k]: the lengths of its i-string above and below it;
+    - wt[k]: its classical weight as an int tuple;
+    - pr, pr_inv: promotion and its inverse as permutations.
+    """
+
+    def __init__(self, c: CartanA, r: int, s: int):
+        self.cartan = c
+        self.shape = (r, s)
+        self.elements = tuple(self._intern(rows, k)
+                              for k, rows in enumerate(_semistandard_rows(c.m, r, s)))
+        self.index = {T.rows: k for k, T in enumerate(self.elements)}
+
+    def _intern(self, rows, k) -> RectTableau:
+        T = object.__new__(RectTableau)
+        for name, value in (("cartan", self.cartan), ("rows", rows),
+                            ("table", self), ("pos", k)):
+            object.__setattr__(T, name, value)
+        return T
+
+    def _position(self, rows, what: str) -> int:
+        k = self.index.get(rows)
+        if k is None:
+            raise ModelConsistencyError(f"{what} left B^{{{self.shape[0]},{self.shape[1]}}}")
+        return k
+
+    @cached_property
+    def wt(self) -> list[tuple[int, ...]]:
+        m = self.cartan.m
+        out = []
+        for T in self.elements:
+            c = T.content()
+            out.append(tuple(c[i - 1] - c[i % m] for i in range(m)))
+        return out
+
+    @cached_property
+    def pr(self) -> list[int]:
+        """Promotion, one forward slide per element; a bijection or an error."""
+        m = self.cartan.m
+        pr = [self._position(_promoted(T.rows, m), "promotion") for T in self.elements]
+        if len(set(pr)) != len(pr):
+            raise ModelConsistencyError(
+                f"promotion is not a bijection on B^{{{self.shape[0]},{self.shape[1]}}}")
+        return pr
+
+    @cached_property
+    def pr_inv(self) -> list[int]:
+        inv = [0] * len(self.pr)
+        for k, j in enumerate(self.pr):
+            inv[j] = k
+        return inv
+
+    @cached_property
+    def pr_powers(self) -> list[list[int]]:
+        """pr^k for k = 0, ..., n."""
+        powers = [list(range(len(self.elements)))]
+        for _ in range(self.cartan.n):
+            powers.append([self.pr[j] for j in powers[-1]])
+        return powers
+
+    def _classical(self, move) -> _ByNode:
+        return _ByNode((i, [-1 if rows is None else self._position(rows, "a classical arrow")
+                            for rows in (move(T.rows, i) for T in self.elements)])
+                       for i in self.cartan.classical_nodes)
+
+    def _affine(self, one: list[int]) -> list[int]:
+        """Node 0 as pr_inv o (node 1) o pr."""
+        pr, pr_inv = self.pr, self.pr_inv
+        return [-1 if one[j] < 0 else pr_inv[one[j]] for j in pr]
+
+    @cached_property
+    def e(self) -> _ByNode:
+        e = self._classical(_raised)
+        e[0] = self._affine(e[1])
+        return e
+
+    @cached_property
+    def f(self) -> _ByNode:
+        f = self._classical(_lowered)
+        f[0] = self._affine(f[1])
+        return f
+
+    @cached_property
+    def eps(self) -> _ByNode:
+        return _ByNode((i, _string_lengths(self.e[i], i)) for i in self.cartan.nodes)
+
+    @cached_property
+    def phi(self) -> _ByNode:
+        return _ByNode((i, _string_lengths(self.f[i], i)) for i in self.cartan.nodes)
+
+
+def _table(c: CartanA, r: int, s: int) -> KRTable:
+    key = (c.n, r, s)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = KRTable(c, r, s)
+    return table
+
+
+def classical_f(i: int, T: RectTableau):
+    """Lower the last unbracketed i to i+1, or None; a walk on the tableau."""
+    T.cartan.check_classical(i)
+    rows = _lowered(T.rows, i)
+    return None if rows is None else RectTableau(T.cartan, rows)
+
+
+def classical_e(i: int, T: RectTableau):
+    """Raise the first unbracketed i+1 to i, or None; a walk on the tableau."""
+    T.cartan.check_classical(i)
+    rows = _raised(T.rows, i)
+    return None if rows is None else RectTableau(T.cartan, rows)
+
+
+def promotion(T: RectTableau) -> RectTableau:
+    return T.table.elements[T.table.pr[T.pos]]
+
+
+def promotion_inverse(T: RectTableau) -> RectTableau:
+    return T.table.elements[T.table.pr_inv[T.pos]]
 
 
 def promote_k(T: RectTableau, k: int) -> RectTableau:
-    for _ in range(k % T.cartan.m):
-        T = promotion(T)
-    return T
+    powers = T.table.pr_powers
+    return T.table.elements[powers[k % len(powers)][T.pos]]
+
+
+def promotion_by_slides(T: RectTableau) -> RectTableau:
+    """Promotion by jeu de taquin on the tableau itself: the oracle for pr."""
+    return RectTableau(T.cartan, _promoted(T.rows, T.cartan.m))
+
+
+def promotion_inverse_by_slides(T: RectTableau) -> RectTableau:
+    """Inverse promotion by jeu de taquin: the oracle for pr_inv."""
+    return RectTableau(T.cartan, _demoted(T.rows, T.cartan.m))
 
 
 def twist(k: int, x: TensorElt) -> TensorElt:
     """The Dynkin-rotation twist by k: promotion^k on every factor."""
-    return TensorElt(tuple(promote_k(b, k) for b in x.factors))
+    return tensor_of(tuple([promote_k(b, k) for b in x.factors]))
 
 
-@lru_cache(maxsize=None)
 def generate(c: CartanA, r: int, s: int) -> tuple[RectTableau, ...]:
     """All of B^{r,s}, sorted canonically.  s = 0 gives the trivial crystal."""
     c.check_classical(r)
     if s < 0:
         raise ValueError("s must be nonnegative")
-    if s == 0:
-        return (RectTableau(c, ((),) * r),)
-    grid = [[0] * s for _ in range(r)]
-    out = []
-
-    def fill(pos):
-        if pos == r * s:
-            out.append(RectTableau(c, tuple(tuple(row) for row in grid)))
-            return
-        i, j = divmod(pos, s)
-        lo = 1
-        if j > 0:
-            lo = max(lo, grid[i][j - 1])
-        if i > 0:
-            lo = max(lo, grid[i - 1][j] + 1)
-        for v in range(lo, c.m + 1):
-            grid[i][j] = v
-            fill(pos + 1)
-        grid[i][j] = 0
-
-    fill(0)
-    return tuple(sorted(out, key=lambda t: t.sort_key()))
+    return _table(c, r, s).elements
 
 
 @lru_cache(maxsize=None)
 def find_b_rs(c: CartanA, r: int, s: int) -> RectTableau:
     """The unique element with eps_0 = s and eps_i = 0 for classical i,
     located by exhaustive scan.  Non-uniqueness means broken 0-arrows."""
-    hits = [T for T in generate(c, r, s)
-            if eps(T, 0) == s and all(eps(T, i) == 0 for i in c.classical_nodes)]
+    elements = generate(c, r, s)
+    eps = elements[0].table.eps
+    classical = [eps[i] for i in c.classical_nodes]
+    hits = [T for k, T in enumerate(elements)
+            if all(row[k] == 0 for row in classical) and eps[0][k] == s]
     if len(hits) != 1:
         raise ModelConsistencyError(
             f"expected one distinguished element in B^{{{r},{s}}}, found {len(hits)}")

@@ -20,7 +20,8 @@ from .crystal import (ModelConsistencyError, TensorElt, classical_highest_path,
 from .dark import DarkSpec, FactorWord, build, full_tensor, verify, \
     well_definedness_check
 from .energy import comb_R, local_H
-from .kr import find_b_rs, generate, promotion, promotion_inverse, twist
+from .kr import (find_b_rs, generate, promotion, promotion_inverse,
+                 promotion_inverse_by_slides, twist)
 from .weyl import bruhat_lower_interval, kr_translation_data, reduced_word
 
 AXIOM_RANKS = (1, 2, 3)
@@ -103,7 +104,7 @@ def criterion_twists() -> str:
                 for _ in range(c.m):
                     pk = promotion(pk)
                 _need(pk == T, "promotion order broken at %r", T)
-                _need(promotion_inverse(promotion(T)) == T,
+                _need(promotion_inverse(T) == promotion_inverse_by_slides(T),
                       "promotion inverse broken at %r", T)
                 for k in (1, 2):
                     zk, rk = T, k % c.m

@@ -1,0 +1,42 @@
+"""The names the traced benchmark pass reads from darkc.
+
+bench/workloads.py wraps public calls by identity and reads cache_info() of
+eps, phi and TensorElt.e/f.  A refactor that drops one of them must fail
+here, not only in the benchmark's own checks (bench/selfcheck.py)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COUNTS = ("kr.elements", "dark.set_size", "energy.tables", "energy.table_entries",
+          "energy.entries_per_element", "charring.rhs_terms",
+          "crystal.eps_cache_entries", "crystal.tensor_cache_entries")
+# A fresh process, as in a benchmark pass: the program's per-process tables
+# would otherwise hide the crystals and energy tables that the op builds.
+TRACED_OP = """
+import json, spans, workloads
+spec = workloads.sweep_specs(1)[0]
+counts = workloads.Counts()
+with workloads.instrumented(spans.Tracer(), counts):
+    output = workloads.run_verify(spec)
+print(json.dumps({"class": workloads.class_key(spec), "ok": output["ok"],
+                  "C": output["C"], "metrics": counts.as_metrics()}))
+"""
+
+
+def test_traced_sweep_op_reports_every_count():
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
+    proc = subprocess.run([sys.executable, "-c", TRACED_OP], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    golden = json.loads((ROOT / "bench" / "goldens.json").read_text())["sweep"]
+    assert got["ok"] and got["C"] == golden["C"][got["class"]]
+    declared = {m["name"] for m in
+                json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert set(got["metrics"]) == set(COUNTS) <= declared
+    assert got["metrics"]["kr.elements"] > 0

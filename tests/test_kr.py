@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 from math import comb
 
@@ -7,7 +8,9 @@ from darkc.cartan import CartanA, rotate
 from darkc.crystal import ModelConsistencyError, TensorElt, eps, phi
 from darkc.kr import (RectTableau, classical_e, classical_f, find_b_rs,
                       generate, parse_tableau, parse_tensor, promote_k,
-                      promotion, promotion_inverse, tableau_text, twist)
+                      promotion, promotion_by_slides, promotion_inverse,
+                      promotion_inverse_by_slides, tableau_text, twist)
+from darkc.selftest import single_shapes
 
 
 def elt(n, text, r=None):
@@ -206,3 +209,74 @@ def test_single_classical_component():
                                 nxt.append(down)
                     frontier = nxt
                 assert seen == all_elts
+
+
+def _walk(T, i, up):
+    """e_i (up) or f_i of T computed on the tableau: the bracketing rule for
+    classical i, and for i = 0 node 1 conjugated by the promotion slides."""
+    if i > 0:
+        return (classical_e if up else classical_f)(i, T)
+    moved = (classical_e if up else classical_f)(1, promotion_by_slides(T))
+    return None if moved is None else promotion_inverse_by_slides(moved)
+
+
+def _string_length(T, i, up):
+    steps = 0
+    while (T := _walk(T, i, up)) is not None:
+        steps += 1
+    return steps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_table_arrays_match_walks_on_tableaux(n):
+    c = CartanA(n)
+    for r, s in single_shapes(n):
+        elements = generate(c, r, s)
+        assert list(elements) == sorted(elements, key=lambda T: T.sort_key())
+        table = elements[0].table
+        for k, T in enumerate(elements):
+            assert T.table is table and T.pos == k and table.index[T.rows] == k
+            content = T.content()
+            assert table.wt[k] == tuple(content[i - 1] - content[i % c.m]
+                                            for i in range(c.m))
+            assert table.pr[k] == promotion_by_slides(T).pos
+            assert table.pr_inv[k] == promotion_inverse_by_slides(T).pos
+            for i in c.nodes:
+                for arrays, up in ((table.e, True), (table.f, False)):
+                    moved = _walk(T, i, up)
+                    assert arrays[i][k] == (-1 if moved is None else moved.pos)
+                assert table.eps[i][k] == _string_length(T, i, True)
+                assert table.phi[i][k] == _string_length(T, i, False)
+
+
+def test_find_b_rs_on_a_long_row_needs_no_deep_stack():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        b = find_b_rs(CartanA(1), 1, 200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert b.rows == ((1,) * 200,)
+
+
+def test_generate_a_long_row_at_the_default_recursion_limit():
+    elements = generate(CartanA(1), 1, 1200)
+    assert len(elements) == 1201
+    assert elements[0].rows == ((1,) * 1200,) and elements[-1].rows == ((2,) * 1200,)
+
+
+def test_interned_tableaux_and_node_range():
+    c = CartanA(2)
+    T = parse_tableau(c, "12/23")
+    assert RectTableau(CartanA(2), ((1, 2), (2, 3))) is T
+    with pytest.raises(AttributeError):
+        T.rows = ((1, 1), (2, 2))
+    for bad in (-1, 3):
+        for op in (T.e, T.f, lambda i: eps(T, i)):
+            with pytest.raises(IndexError):
+                op(bad)
+        with pytest.raises(IndexError):
+            TensorElt((T, T)).f(bad)
