@@ -6,7 +6,6 @@ return None when they annihilate an element, and never raise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
 
@@ -70,24 +69,30 @@ def weight(b: CrystalElt) -> ClWeight:
     return b.clweight()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class TensorElt(CrystalElt):
     """Ordered tensor product element; factors share one Cartan datum.
     Factors may themselves be tensor elements."""
 
-    factors: tuple
-    _last: tuple | None = field(default=None, init=False, repr=False)
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
+    def __init__(self, factors):
+        factors = tuple(factors)
+        if not factors:
             raise ValueError("empty tensor")
-        c = self.factors[0].cartan
-        if any(f.cartan != c for f in self.factors):
-            raise ValueError("tensor factors with mismatched Cartan data")
+        # identity first: the factors of one KR table, and so of most
+        # tensors, share one CartanA object (kr._table)
+        c = factors[0].cartan
+        for b in factors:
+            if b.cartan is not c and b.cartan != c:
+                raise ValueError("tensor factors with mismatched Cartan data")
+        object.__setattr__(self, "factors", factors)
 
-    # by hand rather than generated: these compare and hash only the factors,
-    # without building a tuple of fields first
+    def __setattr__(self, name, value):
+        raise AttributeError("TensorElt is immutable")
+
+    def __reduce__(self):
+        return TensorElt, (self.factors,)
+
     def __eq__(self, other):
         if type(other) is not TensorElt:
             return NotImplemented
@@ -95,6 +100,9 @@ class TensorElt(CrystalElt):
 
     def __hash__(self):
         return hash(self.factors)
+
+    def __repr__(self):
+        return f"TensorElt(factors={self.factors!r})"
 
     @property
     def cartan(self):
@@ -105,22 +113,11 @@ class TensorElt(CrystalElt):
         by factor, eps_i signs '-' then phi_i signs '+', where a '+' cancels
         a later '-'.  Folded left to right, it returns (eps_i, phi_i, the
         factor of the rightmost uncancelled '-', the factor of the leftmost
-        uncancelled '+'); a factor is None when no such sign is left.  A
-        factor that is not a tensor is an element of a KR table, whose eps
-        and phi arrays are read directly.  The element keeps the result for
-        the last node asked, which e_i, f_i, eps_i and phi_i usually share."""
-        last = self._last
-        if last is not None and last[0] == i:
-            return last[1]
+        uncancelled '+'); a factor is None when no such sign is left."""
         ep = ph = k = 0
         up = down = None
         for b in self.factors:
-            if type(b) is TensorElt:
-                eb, pb = b._rule(i)[:2]
-            else:
-                table = b.table
-                eb = table.eps[i][b.pos]
-                pb = table.phi[i][b.pos]
+            eb, pb = b.stats(i)
             if eb > ph:
                 ep += eb - ph
                 up = k
@@ -132,9 +129,7 @@ class TensorElt(CrystalElt):
             else:
                 ph += pb - eb
             k += 1
-        result = ep, ph, up, down
-        _set_last(self, (i, result))
-        return result
+        return ep, ph, up, down
 
     def stats(self, i) -> tuple[int, int]:
         return self._rule(i)[:2]
@@ -147,7 +142,7 @@ class TensorElt(CrystalElt):
         b = self.factors[idx].e(i)
         if b is None:
             raise ModelConsistencyError("tensor rule chose a dead factor for e")
-        return tensor_of(self.factors[:idx] + (b,) + self.factors[idx + 1:])
+        return TensorElt(self.factors[:idx] + (b,) + self.factors[idx + 1:])
 
     @lru_cache(maxsize=0)
     def f(self, i):
@@ -157,13 +152,12 @@ class TensorElt(CrystalElt):
         b = self.factors[idx].f(i)
         if b is None:
             raise ModelConsistencyError("tensor rule chose a dead factor for f")
-        return tensor_of(self.factors[:idx] + (b,) + self.factors[idx + 1:])
+        return TensorElt(self.factors[:idx] + (b,) + self.factors[idx + 1:])
 
     def clweight(self) -> ClWeight:
-        lam = None
-        for b in self.factors:
-            w = b.clweight().lam if type(b) is TensorElt else b.table.wt[b.pos]
-            lam = w if lam is None else tuple(map(add, lam, w))
+        lam = self.factors[0].clweight().lam
+        for b in self.factors[1:]:
+            lam = tuple(map(add, lam, b.clweight().lam))
         return ClWeight(lam)
 
     def sort_key(self):
@@ -171,21 +165,6 @@ class TensorElt(CrystalElt):
 
     def text(self) -> str:
         return "|".join(b.text() for b in self.factors)
-
-
-# The slots themselves, past the frozen __setattr__.
-_set_factors = TensorElt.factors.__set__
-_set_last = TensorElt._last.__set__
-
-
-def tensor_of(factors: tuple) -> TensorElt:
-    """TensorElt of a nonempty factor tuple already known to share one Cartan
-    datum, such as the image of a tensor under an operator; skips the checks
-    of the constructor."""
-    x = object.__new__(TensorElt)
-    _set_factors(x, factors)
-    _set_last(x, None)
-    return x
 
 
 def f_closure(i: int, elements) -> set:

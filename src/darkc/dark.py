@@ -17,7 +17,7 @@ from itertools import product
 
 from .cartan import CartanA, aff_level_zero, delta_weight, fundamental_weight
 from .charring import CharPoly, fit_delta_shift, rhs_formula
-from .crystal import TensorElt, demazure_closure, tensor_of
+from .crystal import TensorElt, demazure_closure
 from .energy import total_D
 from .kr import find_b_rs, generate, twist
 from .weyl import (all_reduced_words, bruhat_leq, from_word,
@@ -138,7 +138,7 @@ def build(spec: DarkSpec) -> DarkSet:
                                {TensorElt((data[p - 1][0],))})
     for j in range(p - 2, -1, -1):
         tau_j = data[j][2]
-        seeds = {tensor_of((data[j][0],) + twist(tau_j, x).factors)
+        seeds = {TensorElt((data[j][0],) + twist(tau_j, x).factors)
                  for x in current}
         current = demazure_closure(spec.words[j].letters, seeds)
     return DarkSet(spec, frozenset(current))
@@ -208,7 +208,7 @@ def full_tensor(spec: DarkSpec) -> frozenset:
     """Every element of the ambient tensor product of the spec's factors."""
     c = spec.cartan
     crystals = [generate(c, rj, sj) for rj, sj in zip(spec.r, spec.lam)]
-    return frozenset(tensor_of(combo) for combo in product(*crystals))
+    return frozenset(TensorElt(combo) for combo in product(*crystals))
 
 
 def i_string_report(elements, i: int):

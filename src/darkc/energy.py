@@ -19,8 +19,7 @@ is kept as the independent oracle `selftest.EnergyOracle`.
 from __future__ import annotations
 
 from .cartan import CartanA
-from .crystal import (ModelConsistencyError, TensorElt, classical_highest_path,
-                      eps, tensor_of)
+from .crystal import ModelConsistencyError, TensorElt, classical_highest_path, eps
 from .kr import generate
 
 _TABLES: dict = {}
@@ -54,7 +53,7 @@ class EnergyTable:
         top, _ = classical_highest_path(A[0])
         out = {}
         for b in B:
-            t = tensor_of((top, b))
+            t = TensorElt((top, b))
             if all(eps(t, i) == 0 for i in self.cartan.classical_nodes):
                 w = t.clweight()
                 if w in out:
@@ -80,7 +79,7 @@ class EnergyTable:
                         break
                 else:
                     raise ModelConsistencyError("highest element missed by the scan")
-            img, h = tensor_of(self.R[x.factors]), self.H[x.factors]
+            img, h = TensorElt(self.R[x.factors]), self.H[x.factors]
             for pair, i in reversed(steps):
                 img = img.f(i)
                 if img is None:
@@ -112,7 +111,7 @@ def _pair_entry(x: TensorElt) -> tuple[tuple, int]:
 
 def comb_R(x: TensorElt) -> TensorElt:
     """The combinatorial R-matrix image in the swapped product."""
-    return tensor_of(_pair_entry(x)[0])
+    return TensorElt(_pair_entry(x)[0])
 
 
 def local_H(x: TensorElt) -> int:

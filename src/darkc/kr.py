@@ -16,15 +16,18 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 from .cartan import CartanA, ClWeight
-from .crystal import CrystalElt, ModelConsistencyError, TensorElt, tensor_of
+from .crystal import CrystalElt, ModelConsistencyError, TensorElt
 
 _TABLES: dict = {}
+_CARTANS: dict = {}
 
 
 class RectTableau(CrystalElt):
     """An element of B^{r,s}.  Tableaux are interned: the constructor checks
     the rows and returns the one object its KRTable holds, so equality is
-    identity.  `table` is that KRTable and `pos` the element's index in it."""
+    identity.  `table` is that KRTable and `pos` the element's index in it.
+    So building one tableau enumerates its whole B^{r,s} on first use, and
+    the table lives for the rest of the process."""
 
     __slots__ = ("cartan", "rows", "table", "pos")
 
@@ -52,7 +55,7 @@ class RectTableau(CrystalElt):
         return tuple(counts)
 
     def clweight(self) -> ClWeight:
-        return ClWeight(self.table.wt[self.pos])
+        return self.table.wt[self.pos]
 
     def e(self, i):
         k = self.table.e[i][self.pos]
@@ -63,7 +66,7 @@ class RectTableau(CrystalElt):
         return None if k < 0 else self.table.elements[k]
 
     def stats(self, i) -> tuple[int, int]:
-        return self.table.eps[i][self.pos], self.table.phi[i][self.pos]
+        return self.table.stats[i][self.pos]
 
     def sort_key(self):
         return (self.shape, self.rows)
@@ -248,7 +251,8 @@ class KRTable:
 
     - e[i][k], f[i][k]: the position of e_i / f_i of element k, or -1;
     - eps[i][k], phi[i][k]: the lengths of its i-string above and below it;
-    - wt[k]: its classical weight as an int tuple;
+    - stats[i][k]: the pair (eps[i][k], phi[i][k]);
+    - wt[k]: its classical weight, a ClWeight of an int tuple;
     - pr, pr_inv: promotion and its inverse as permutations.
     """
 
@@ -273,12 +277,12 @@ class KRTable:
         return k
 
     @cached_property
-    def wt(self) -> list[tuple[int, ...]]:
+    def wt(self) -> list[ClWeight]:
         m = self.cartan.m
         out = []
         for T in self.elements:
             c = T.content()
-            out.append(tuple(c[i - 1] - c[i % m] for i in range(m)))
+            out.append(ClWeight(tuple(c[i - 1] - c[i % m] for i in range(m))))
         return out
 
     @cached_property
@@ -336,11 +340,18 @@ class KRTable:
     def phi(self) -> _ByNode:
         return _ByNode((i, _string_lengths(self.f[i], i)) for i in self.cartan.nodes)
 
+    @cached_property
+    def stats(self) -> _ByNode:
+        return _ByNode((i, list(zip(self.eps[i], self.phi[i]))) for i in self.cartan.nodes)
+
 
 def _table(c: CartanA, r: int, s: int) -> KRTable:
+    """The KRTable of B^{r,s}.  All tables of one rank share one CartanA
+    object, so tensors check their factors' Cartan data by identity."""
     key = (c.n, r, s)
     table = _TABLES.get(key)
     if table is None:
+        c = _CARTANS.setdefault(c.n, c)
         table = _TABLES[key] = KRTable(c, r, s)
     return table
 
@@ -384,7 +395,7 @@ def promotion_inverse_by_slides(T: RectTableau) -> RectTableau:
 
 def twist(k: int, x: TensorElt) -> TensorElt:
     """The Dynkin-rotation twist by k: promotion^k on every factor."""
-    return tensor_of(tuple([promote_k(b, k) for b in x.factors]))
+    return TensorElt(tuple([promote_k(b, k) for b in x.factors]))
 
 
 def generate(c: CartanA, r: int, s: int) -> tuple[RectTableau, ...]:

@@ -16,7 +16,7 @@ from .cartan import (AffineWeight, CartanA, cl_simple_root, reflect, rotate,
                      simple_root)
 from .charring import CharPoly, demazure_op, sigma_act
 from .crystal import (ModelConsistencyError, TensorElt, classical_highest_path,
-                      demazure_closure, eps, phi)
+                      demazure_closure, eps, stats)
 from .dark import DarkSpec, FactorWord, build, full_tensor, verify, \
     well_definedness_check
 from .energy import comb_R, local_H
@@ -79,7 +79,8 @@ def criterion_axioms() -> str:
             _need(w.level == 0, "nonzero level at %r", b)
             for i in c.nodes:
                 up, down = b.e(i), b.f(i)
-                _need(w.lam[i] == phi(b, i) - eps(b, i),
+                ep, ph = stats(i, b)
+                _need(w.lam[i] == ph - ep,
                       "weight pairing broken at %r, i=%d", b, i)
                 if up is not None:
                     _need(up.f(i) == b, "f_i e_i != id at %r, i=%d", b, i)

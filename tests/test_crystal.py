@@ -7,6 +7,7 @@ from darkc.crystal import (TensorElt, classical_highest_path, demazure_closure,
                            eps, f_closure, graph_dot, graph_json, phi, stats,
                            weight)
 from darkc.kr import generate, parse_tableau
+from darkc.selftest import _axiom_families
 
 
 def elt(n, text):
@@ -74,20 +75,47 @@ def test_tensor_associativity():
                             got_right.factors[1].factors == got_flat.factors
 
 
+def _walked_lengths(elements, move, cap=100):
+    """For each element, how many times `move` applies before it returns
+    None, walking each string once."""
+    out = {}
+    for x in elements:
+        path = []
+        while x is not None and x not in out:
+            path.append(x)
+            assert len(path) <= cap, "string does not terminate"
+            x = move(x)
+        k = -1 if x is None else out[x]
+        for y in reversed(path):
+            k += 1
+            out[y] = k
+    return out
+
+
 def test_string_lengths():
+    # eps and phi of a tensor come from the signature rule on its factors'
+    # integers; walking the element's own e_i and f_i checks them
+    # independently: on B^{2,2} at n = 2, on every tensor of the criterion-1
+    # grid at n <= 2, and on both nestings of every grid triple at n = 1
     c = CartanA(2)
-    for T in generate(c, 2, 2):
+    families = [(c, list(generate(c, 2, 2)))]
+    for c, elts in _axiom_families():
+        if c.n > 2 or not isinstance(elts[0], TensorElt):
+            continue
+        family = list(elts)
+        if c.n == 1 and len(elts[0].factors) == 3:
+            family += [TensorElt((TensorElt(x.factors[:2]), x.factors[2]))
+                       for x in elts]
+            family += [TensorElt((x.factors[0], TensorElt(x.factors[1:])))
+                       for x in elts]
+        families.append((c, family))
+    assert sum(len(family) for _, family in families) > 50000
+    for c, family in families:
         for i in c.nodes:
-            up_steps, down_steps = 0, 0
-            cur = T
-            while cur.e(i) is not None:
-                cur = cur.e(i)
-                up_steps += 1
-            cur = T
-            while cur.f(i) is not None:
-                cur = cur.f(i)
-                down_steps += 1
-            assert (up_steps, down_steps) == (eps(T, i), phi(T, i))
+            up = _walked_lengths(family, lambda y: y.e(i))
+            down = _walked_lengths(family, lambda y: y.f(i))
+            for x in family:
+                assert (up[x], down[x]) == (eps(x, i), phi(x, i)), (x, i)
 
 
 def test_f_closure_examples():

@@ -237,7 +237,7 @@ def test_table_arrays_match_walks_on_tableaux(n):
         for k, T in enumerate(elements):
             assert T.table is table and T.pos == k and table.index[T.rows] == k
             content = T.content()
-            assert table.wt[k] == tuple(content[i - 1] - content[i % c.m]
+            assert table.wt[k].lam == tuple(content[i - 1] - content[i % c.m]
                                             for i in range(c.m))
             assert table.pr[k] == promotion_by_slides(T).pos
             assert table.pr_inv[k] == promotion_inverse_by_slides(T).pos
@@ -247,6 +247,7 @@ def test_table_arrays_match_walks_on_tableaux(n):
                     assert arrays[i][k] == (-1 if moved is None else moved.pos)
                 assert table.eps[i][k] == _string_length(T, i, True)
                 assert table.phi[i][k] == _string_length(T, i, False)
+                assert T.stats(i) == (table.eps[i][k], table.phi[i][k])
 
 
 def test_find_b_rs_on_a_long_row_needs_no_deep_stack():
