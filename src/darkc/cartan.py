@@ -209,8 +209,10 @@ def aff_level_zero(c: CartanA, mu: ClWeight) -> AffineWeight:
     """Section of cl on level-zero weights, normalized by <d, aff(mu)> = 0."""
     if mu.level != 0:
         raise ValueError(f"aff is only defined on level-zero weights, level = {mu.level}")
-    q = -sum((mu.lam[j] * d_coeff(c, j) for j in range(c.m)), Fraction(0))
-    return AffineWeight(mu.lam, q)
+    m = c.m
+    # -sum_j lam[j] d_coeff(c, j) over the common denominator 2m, one Fraction
+    return AffineWeight(mu.lam, Fraction(sum(v * j * (m - j) for j, v in enumerate(mu.lam)),
+                                         2 * m))
 
 
 def weight_to_json(mu: AffineWeight) -> dict:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success (including a verified identity), 1 when verify finds
-a mismatch, 2 on usage errors.  All output is deterministic; rationals print
-as reduced fraction strings.
+a mismatch, 2 on usage errors, 3 on an internal failure (ModelConsistencyError,
+RecursionError or MemoryError), which prints one line naming the subcommand.
+All output is deterministic; rationals print as reduced fraction strings.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from .cartan import CartanA, delta_weight
 from .charring import char_to_json
-from .crystal import graph_dot, graph_json
+from .crystal import ModelConsistencyError, graph_dot, graph_json
 from .dark import (DarkSpec, FactorWord, build, dark_to_json, lhs_character,
                    rhs_character, verify_detail)
 from .energy import pair_energies, total_D
@@ -253,6 +254,10 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"darkc: error: {exc}", file=sys.stderr)
         return 2
+    except (ModelConsistencyError, RecursionError, MemoryError) as exc:
+        print(f"darkc: internal error: {args.command}: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,12 +7,15 @@ Schuetzenberger promotion, which realizes the Dynkin rotation j -> j + 1.
 
 Each B^{r,s} is enumerated once into a KRTable, which interns its tableaux
 and holds the crystal structure as integer arrays over their indices.  The
-bracketing walks and the jeu-de-taquin slides build those arrays and stay
-available as oracles.
+bracketing walks build the classical arrays, and promotion is read off those
+arrays (Shimozono, Affine type A crystal structure on tensor products of
+rectangles, 2002).  The jeu-de-taquin slides build nothing; they stay as
+oracles for the promotion arrays.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
 
 from .cartan import CartanA, ClWeight
@@ -249,16 +252,20 @@ class KRTable:
     canonical order and `index` maps rows to their position.  The arrays over
     positions are built on first use:
 
-    - e[i][k], f[i][k]: the position of e_i / f_i of element k, or -1;
+    - cl_e[i][k], cl_f[i][k]: for classical i, the position of e_i / f_i of
+      element k, or -1, each from its own bracketing rule;
+    - pr, pr_inv: promotion and its inverse as permutations, from cl_e and
+      cl_f alone (no slides);
+    - e[i][k], f[i][k]: cl_e / cl_f plus node 0 as pr_inv o (node 1) o pr;
     - eps[i][k], phi[i][k]: the lengths of its i-string above and below it;
     - stats[i][k]: the pair (eps[i][k], phi[i][k]);
-    - wt[k]: its classical weight, a ClWeight of an int tuple;
-    - pr, pr_inv: promotion and its inverse as permutations.
+    - wt[k]: its classical weight, a ClWeight of an int tuple.
     """
 
     def __init__(self, c: CartanA, r: int, s: int):
         self.cartan = c
         self.shape = (r, s)
+        self.name = f"B^{{{r},{s}}}"
         self.elements = tuple(self._intern(rows, k)
                               for k, rows in enumerate(_semistandard_rows(c.m, r, s)))
         self.index = {T.rows: k for k, T in enumerate(self.elements)}
@@ -270,10 +277,10 @@ class KRTable:
             object.__setattr__(T, name, value)
         return T
 
-    def _position(self, rows, what: str) -> int:
+    def _position(self, rows) -> int:
         k = self.index.get(rows)
         if k is None:
-            raise ModelConsistencyError(f"{what} left B^{{{self.shape[0]},{self.shape[1]}}}")
+            raise ModelConsistencyError(f"a classical arrow left {self.name}")
         return k
 
     @cached_property
@@ -287,13 +294,58 @@ class KRTable:
 
     @cached_property
     def pr(self) -> list[int]:
-        """Promotion, one forward slide per element; a bijection or an error."""
-        m = self.cartan.m
-        pr = [self._position(_promoted(T.rows, m), "promotion") for T in self.elements]
-        if len(set(pr)) != len(pr):
-            raise ModelConsistencyError(
-                f"promotion is not a bijection on B^{{{self.shape[0]},{self.shape[1]}}}")
+        """Promotion from the classical arrays (Shimozono 2002).  Under nodes
+        1..n-1 the crystal has one component for each count k of entries n+1,
+        and under nodes 2..n one for each count k of entries 1.  Promotion
+        sends the first head with k entries n+1 to the second with k entries 1
+        and carries f_i to f_{i+1}, so it is fixed on the heads and follows
+        the arrows from there.  Anything else is a ModelConsistencyError."""
+        n, m, s = self.cartan.n, self.cartan.m, self.shape[1]
+        f = self.cl_f
+        size = len(self.elements)
+        # rows are weakly increasing: entries n+1 end the bottom row, 1s start the top
+        lows = self._heads(range(1, n), lambda rows: s - bisect_left(rows[-1], m))
+        highs = self._heads(range(2, n + 1), lambda rows: bisect_right(rows[0], 1))
+        if lows.keys() != highs.keys():
+            raise ModelConsistencyError(f"promotion heads of {self.name} do not pair up")
+        pr = [-1] * size
+        stack = []
+        for k, b in lows.items():
+            pr[b] = highs[k]
+            stack.append(b)
+        while stack:
+            b = stack.pop()
+            p = pr[b]
+            for i in range(1, n):
+                c, d = f[i][b], f[i + 1][p]
+                if (c < 0) != (d < 0):
+                    raise ModelConsistencyError(
+                        f"promotion does not carry f_{i} to f_{i + 1} in {self.name}")
+                if c < 0:
+                    continue
+                if pr[c] < 0:
+                    pr[c] = d
+                    stack.append(c)
+                elif pr[c] != d:
+                    raise ModelConsistencyError(f"promotion gives two images in {self.name}")
+        if -1 in pr:
+            raise ModelConsistencyError(f"promotion does not reach all of {self.name}")
+        if len(set(pr)) != size:
+            raise ModelConsistencyError(f"promotion is not a bijection on {self.name}")
         return pr
+
+    def _heads(self, nodes, count) -> dict[int, int]:
+        """The elements killed by e_i for every i in nodes, keyed by count of
+        their rows; two heads with one key are a ModelConsistencyError."""
+        e = self.cl_e
+        heads = {}
+        for b, T in enumerate(self.elements):
+            if all(e[i][b] < 0 for i in nodes):
+                key = count(T.rows)
+                if key in heads:
+                    raise ModelConsistencyError(f"two promotion heads of {self.name} share {key}")
+                heads[key] = b
+        return heads
 
     @cached_property
     def pr_inv(self) -> list[int]:
@@ -311,26 +363,32 @@ class KRTable:
         return powers
 
     def _classical(self, move) -> _ByNode:
-        return _ByNode((i, [-1 if rows is None else self._position(rows, "a classical arrow")
+        return _ByNode((i, [-1 if rows is None else self._position(rows)
                             for rows in (move(T.rows, i) for T in self.elements)])
                        for i in self.cartan.classical_nodes)
 
-    def _affine(self, one: list[int]) -> list[int]:
-        """Node 0 as pr_inv o (node 1) o pr."""
-        pr, pr_inv = self.pr, self.pr_inv
-        return [-1 if one[j] < 0 else pr_inv[one[j]] for j in pr]
+    @cached_property
+    def cl_e(self) -> _ByNode:
+        return self._classical(_raised)
+
+    @cached_property
+    def cl_f(self) -> _ByNode:
+        return self._classical(_lowered)
+
+    def _affine(self, classical: _ByNode) -> _ByNode:
+        """The classical arrays plus node 0 as pr_inv o (node 1) o pr."""
+        one, pr_inv = classical[1], self.pr_inv
+        arrays = _ByNode(classical)
+        arrays[0] = [-1 if one[j] < 0 else pr_inv[one[j]] for j in self.pr]
+        return arrays
 
     @cached_property
     def e(self) -> _ByNode:
-        e = self._classical(_raised)
-        e[0] = self._affine(e[1])
-        return e
+        return self._affine(self.cl_e)
 
     @cached_property
     def f(self) -> _ByNode:
-        f = self._classical(_lowered)
-        f[0] = self._affine(f[1])
-        return f
+        return self._affine(self.cl_f)
 
     @cached_property
     def eps(self) -> _ByNode:

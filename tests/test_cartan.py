@@ -144,6 +144,13 @@ def test_aff_level_zero():
             lam.append(-sum(lam))
             mu = aff_level_zero(c, ClWeight(tuple(lam)))
             assert d_pair(c, mu) == 0
+    for n in range(1, 7):
+        c = CartanA(n)
+        for _ in range(50):
+            lam = [rng.randint(-6, 6) for _ in range(n)]
+            lam.append(-sum(lam))
+            want = -sum((v * d_coeff(c, j) for j, v in enumerate(lam)), Fraction(0))
+            assert aff_level_zero(c, ClWeight(tuple(lam))) == AffineWeight(tuple(lam), want)
 
 
 def test_denominators_divide_2m():

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from darkc import kr
 from darkc.cli import main
+from darkc.crystal import ModelConsistencyError
 
 
 def run_main(capsys, *argv):
@@ -114,6 +116,18 @@ def test_usage_errors_exit_2(capsys):
     code, _, err = run_main(capsys, "energy", "--n", "1", "--factors", "1x1",
                             "--elt", "1|2")
     assert code == 2
+
+
+@pytest.mark.parametrize("error", [ModelConsistencyError, RecursionError, MemoryError])
+def test_internal_errors_exit_3(monkeypatch, capsys, error):
+    def broken(c, r, s):
+        raise error("table build failed")
+
+    monkeypatch.setattr(kr, "_table", broken)
+    code, out, err = run_main(capsys, "energy", "--n", "1", "--factors",
+                              "1x1,1x1", "--elt", "1|2")
+    assert code == 3 and out == ""
+    assert err == f"darkc: internal error: energy: {error.__name__}: table build failed\n"
 
 
 def test_missing_flag_exits_2():

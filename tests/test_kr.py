@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from darkc import kr
 from darkc.cartan import CartanA, rotate
 from darkc.crystal import ModelConsistencyError, TensorElt, eps, phi
 from darkc.kr import (RectTableau, classical_e, classical_f, find_b_rs,
@@ -250,6 +251,59 @@ def test_table_arrays_match_walks_on_tableaux(n):
                 assert T.stats(i) == (table.eps[i][k], table.phi[i][k])
 
 
+def _rectangle_size(m, r, s):
+    """|B^{r,s}| by the hook-content formula."""
+    num = den = 1
+    for i in range(r):
+        for j in range(s):
+            num *= m + j - i
+            den *= (r - i) + (s - j) - 1
+    return num // den
+
+
+def _promotion_shapes(n):
+    """Every B^{r,s} of rank n with at most 500 elements, s = 0 included.  At
+    n = 1 that bound alone allows s up to 499, and the slides cost O(s^3) on a
+    row, so the rows stop at s = 40."""
+    if n == 1:
+        return [(1, s) for s in range(41)]
+    shapes = []
+    for r in range(1, n + 1):
+        s = 0
+        while _rectangle_size(n + 1, r, s) <= 500:
+            shapes.append((r, s))
+            s += 1
+    return shapes
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_promotion_arrays_match_both_slides(n):
+    c = CartanA(n)
+    for r, s in _promotion_shapes(n):
+        elements = generate(c, r, s)
+        assert len(elements) == _rectangle_size(c.m, r, s)
+        table = elements[0].table
+        for k, T in enumerate(elements):
+            assert table.pr[k] == promotion_by_slides(T).pos
+            assert table.pr_inv[k] == promotion_inverse_by_slides(T).pos
+
+
+def test_promotion_arrays_need_no_slides(monkeypatch):
+    c = CartanA(3)
+    want = generate(c, 2, 2)[0].table
+
+    def no_slides(rows, m):
+        raise AssertionError("a table array ran a jeu-de-taquin slide")
+
+    monkeypatch.setattr(kr, "_promoted", no_slides)
+    monkeypatch.setattr(kr, "_demoted", no_slides)
+    table = kr.KRTable(c, 2, 2)
+    assert table.pr == want.pr and table.pr_inv == want.pr_inv
+    for i in c.nodes:
+        assert table.e[i] == want.e[i] and table.f[i] == want.f[i]
+        assert table.stats[i] == want.stats[i]
+
+
 def test_find_b_rs_on_a_long_row_needs_no_deep_stack():
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -257,10 +311,10 @@ def test_find_b_rs_on_a_long_row_needs_no_deep_stack():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 100)
     try:
-        b = find_b_rs(CartanA(1), 1, 200)
+        b = find_b_rs(CartanA(1), 1, 1200)
     finally:
         sys.setrecursionlimit(limit)
-    assert b.rows == ((1,) * 200,)
+    assert b.rows == ((1,) * 1200,)
 
 
 def test_generate_a_long_row_at_the_default_recursion_limit():
