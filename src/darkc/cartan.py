@@ -1,16 +1,17 @@
 """Affine Cartan data of type A_n^(1).
 
-Weights are stored in the basis {Lambda_0, ..., Lambda_n, delta}: integer
-Lambda coefficients plus an exact rational delta coefficient.  All arithmetic
-is exact; nothing in this package touches floating point.
+Weights are integer vectors in the basis {Lambda_0, ..., Lambda_n, delta}: the
+Lambda coefficients, then the delta coefficient as a numerator over the fixed
+denominator 2m.  All arithmetic is exact; nothing in this package touches
+floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from operator import add, sub
+from functools import cached_property, lru_cache, partial
+from operator import add, mul, neg, sub
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,11 @@ class CartanA:
         """I_0, the nodes without the affine node 0."""
         return range(1, self.n + 1)
 
+    @cached_property
+    def d_numerators(self) -> tuple[int, ...]:
+        """j(m-j) = -2m <d, Lambda_j> for each node j (see d_coeff)."""
+        return tuple(j * (self.m - j) for j in self.nodes)
+
     def a(self, i: int, j: int) -> int:
         """Cartan matrix entry a_ij.  Cyclic adjacency; a_01 = a_10 = -2 for n = 1."""
         self.check_node(i)
@@ -54,20 +60,36 @@ class CartanA:
             raise IndexError(f"classical node {i} out of range for rank {self.n}")
 
 
-@dataclass(frozen=True)
-class AffineWeight:
-    """Element sum_i lam[i]*Lambda_i + dlt*delta of the affine weight space."""
+class AffineWeight(tuple):
+    """Element sum_i lam[i]*Lambda_i + dlt*delta of the affine weight space,
+    stored as the integer vector (lam[0], ..., lam[n], d) with d = 2m*dlt, since
+    every delta coefficient in use lies in (1/2m)Z.  Hashing, equality and order
+    are the tuple's; tuple order on (lam, d) is the order on (lam, dlt).
+    Arithmetic is elementwise; the Fraction dlt is built only when it is read."""
 
-    lam: tuple[int, ...]
-    dlt: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(int(v) for v in self.lam))
-        object.__setattr__(self, "dlt", Fraction(self.dlt))
+    def __new__(cls, lam, dlt=0):
+        lam = tuple(map(int, lam))
+        d = Fraction(dlt) * (2 * len(lam))
+        if d.denominator != 1:
+            raise ValueError(f"delta coefficient {dlt} is not in (1/{2 * len(lam)})Z")
+        return tuple.__new__(cls, lam + (int(d),))
+
+    def __getnewargs__(self):
+        return self.lam, self.dlt
+
+    @property
+    def lam(self) -> tuple[int, ...]:
+        return self[:-1]
+
+    @property
+    def dlt(self) -> Fraction:
+        return Fraction(self[-1], 2 * self.m)
 
     @property
     def m(self) -> int:
-        return len(self.lam)
+        return len(self) - 1
 
     @property
     def level(self) -> int:
@@ -77,33 +99,33 @@ class AffineWeight:
         """<alpha_i_check, mu>, which is just the i-th Lambda coefficient."""
         return self.lam[i]
 
-    def _check_compatible(self, other: "AffineWeight") -> None:
-        if len(self.lam) != len(other.lam):
-            raise ValueError("weights of different rank")
-
     def __add__(self, other: "AffineWeight") -> "AffineWeight":
-        self._check_compatible(other)
-        return AffineWeight(tuple(a + b for a, b in zip(self.lam, other.lam)),
-                            self.dlt + other.dlt)
+        if len(self) != len(other):
+            raise ValueError("weights of different rank")
+        return _vec(map(add, self, other))
 
     def __sub__(self, other: "AffineWeight") -> "AffineWeight":
-        self._check_compatible(other)
-        return AffineWeight(tuple(a - b for a, b in zip(self.lam, other.lam)),
-                            self.dlt - other.dlt)
+        if len(self) != len(other):
+            raise ValueError("weights of different rank")
+        return _vec(map(sub, self, other))
 
     def __neg__(self) -> "AffineWeight":
-        return AffineWeight(tuple(-a for a in self.lam), -self.dlt)
+        return _vec(map(neg, self))
 
     def __mul__(self, k: int) -> "AffineWeight":
-        return AffineWeight(tuple(k * a for a in self.lam), k * self.dlt)
+        return _vec([k * a for a in self])
 
     __rmul__ = __mul__
 
     def sort_key(self):
-        return (self.lam, self.dlt)
+        return (self.lam, self[-1])
 
     def __repr__(self):
         return f"AffineWeight({self.lam}, {self.dlt})"
+
+
+# An AffineWeight from its integer vector (lam..., d), without validation.
+_vec = partial(tuple.__new__, AffineWeight)
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,16 +163,16 @@ class ClWeight:
 
 
 def zero_weight(c: CartanA) -> AffineWeight:
-    return AffineWeight((0,) * c.m)
+    return _vec((0,) * (c.m + 1))
 
 def fundamental_weight(c: CartanA, i: int) -> AffineWeight:
     """Lambda_i."""
     c.check_node(i)
-    return AffineWeight(tuple(int(j == i) for j in range(c.m)))
+    return _vec([int(j == i) for j in range(c.m)] + [0])
 
 def delta_weight(c: CartanA) -> AffineWeight:
-    """The null root delta = (0, ..., 0; 1)."""
-    return AffineWeight((0,) * c.m, Fraction(1))
+    """The null root delta = (0, ..., 0; 1), with numerator d = 2m."""
+    return _vec((0,) * c.m + (2 * c.m,))
 
 @lru_cache(maxsize=None)
 def cl_simple_root(c: CartanA, i: int) -> ClWeight:
@@ -162,15 +184,15 @@ def cl_simple_root(c: CartanA, i: int) -> ClWeight:
 @lru_cache(maxsize=None)
 def simple_root(c: CartanA, i: int) -> AffineWeight:
     """alpha_i.  Lambda coefficients are the i-th Cartan column; the delta
-    coefficient is the uniform 1/m, so that sum_i alpha_i = delta exactly."""
+    coefficient is the uniform 1/m (d = 2), so that sum_i alpha_i = delta."""
     c.check_node(i)
-    return AffineWeight(tuple(c.a(j, i) for j in range(c.m)), Fraction(1, c.m))
+    return _vec([c.a(j, i) for j in range(c.m)] + [2])
 
 
 def reflect(c: CartanA, i: int, mu: AffineWeight) -> AffineWeight:
     """Simple reflection s_i(mu) = mu - <alpha_i_check, mu> alpha_i."""
     c.check_node(i)
-    return mu - mu.lam[i] * simple_root(c, i)
+    return mu - mu[i] * simple_root(c, i)
 
 
 def rotate(c: CartanA, k: int, mu):
@@ -178,14 +200,10 @@ def rotate(c: CartanA, k: int, mu):
 
     Accepts either an AffineWeight or a ClWeight.
     """
-    m = c.m
-    k %= m
-    new = [0] * m
-    for j in range(m):
-        new[(j + k) % m] = mu.lam[j]
+    cut = c.m - k % c.m
     if isinstance(mu, ClWeight):
-        return ClWeight(tuple(new))
-    return AffineWeight(tuple(new), mu.dlt)
+        return ClWeight(mu.lam[cut:] + mu.lam[:cut])
+    return _vec(mu[cut:-1] + mu[:cut] + mu[-1:])
 
 
 def d_coeff(c: CartanA, j: int) -> Fraction:
@@ -196,23 +214,19 @@ def d_coeff(c: CartanA, j: int) -> Fraction:
     linear system.
     """
     c.check_node(j)
-    m = c.m
-    return Fraction(-j * (m - j), 2 * m)
+    return Fraction(-c.d_numerators[j], 2 * c.m)
 
 
 def d_pair(c: CartanA, mu: AffineWeight) -> Fraction:
     """<d, mu> = sum_j lam[j] <d, Lambda_j> + dlt (type A has <d, delta> = 1)."""
-    return sum((mu.lam[j] * d_coeff(c, j) for j in range(c.m)), Fraction(0)) + mu.dlt
+    return Fraction(mu[-1] - sum(map(mul, mu.lam, c.d_numerators)), 2 * c.m)
 
 
 def aff_level_zero(c: CartanA, mu: ClWeight) -> AffineWeight:
     """Section of cl on level-zero weights, normalized by <d, aff(mu)> = 0."""
     if mu.level != 0:
         raise ValueError(f"aff is only defined on level-zero weights, level = {mu.level}")
-    m = c.m
-    # -sum_j lam[j] d_coeff(c, j) over the common denominator 2m, one Fraction
-    return AffineWeight(mu.lam, Fraction(sum(v * j * (m - j) for j, v in enumerate(mu.lam)),
-                                         2 * m))
+    return _vec(mu.lam + (sum(map(mul, mu.lam, c.d_numerators)),))
 
 
 def weight_to_json(mu: AffineWeight) -> dict:

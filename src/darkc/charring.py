@@ -1,17 +1,21 @@
 """The group ring of the affine weight lattice and Demazure operators on it.
 
 A CharPoly is a finitely supported integer combination of formal exponentials
-e^mu.  The Demazure operator D_i is evaluated monomial by monomial through
-the geometric-series form of (f - e^{-alpha_i} s_i(f)) / (1 - e^{-alpha_i});
-the test suite cross-checks this against literal polynomial division.
+e^mu keyed by AffineWeight integer vectors, so all of its arithmetic is on
+integers; a Fraction is built only to print a delta coefficient or the fitted
+C.  The Demazure operator D_i is evaluated monomial by monomial through the
+geometric-series form of (f - e^{-alpha_i} s_i(f)) / (1 - e^{-alpha_i}); the
+test suite cross-checks this against literal polynomial division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from operator import add
 
-from .cartan import (AffineWeight, CartanA, fundamental_weight, rotate,
-                     simple_root, weight_from_json, weight_to_json)
+from .cartan import (AffineWeight, CartanA, _vec, fundamental_weight, rotate,
+                     simple_root, weight_from_json, weight_to_json, zero_weight)
 
 
 class CharPoly:
@@ -20,14 +24,12 @@ class CharPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for mu, coef in (terms.items() if isinstance(terms, dict) else terms):
-                if coef:
-                    data[mu] = data.get(mu, 0) + coef
-                    if not data[mu]:
-                        del data[mu]
-        self.terms = data
+        if not isinstance(terms, dict):
+            data: dict[AffineWeight, int] = {}
+            for mu, coef in terms or ():
+                data[mu] = data.get(mu, 0) + coef
+            terms = data
+        self.terms = {mu: coef for mu, coef in terms.items() if coef}
 
     @classmethod
     def monomial(cls, mu: AffineWeight, coef: int = 1) -> "CharPoly":
@@ -39,7 +41,7 @@ class CharPoly:
 
     @classmethod
     def one(cls, c: CartanA) -> "CharPoly":
-        return cls.monomial(AffineWeight((0,) * c.m))
+        return cls.monomial(zero_weight(c))
 
     def __bool__(self):
         return bool(self.terms)
@@ -51,12 +53,7 @@ class CharPoly:
         return isinstance(other, CharPoly) and self.terms == other.terms
 
     def __add__(self, other: "CharPoly") -> "CharPoly":
-        out = dict(self.terms)
-        for mu, coef in other.terms.items():
-            out[mu] = out.get(mu, 0) + coef
-            if not out[mu]:
-                del out[mu]
-        return CharPoly(out)
+        return CharPoly(chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "CharPoly") -> "CharPoly":
         return self + (-1) * other
@@ -64,12 +61,8 @@ class CharPoly:
     def __mul__(self, other):
         if isinstance(other, int):
             return CharPoly({mu: other * c for mu, c in self.terms.items()})
-        out: dict[AffineWeight, int] = {}
-        for mu, a in self.terms.items():
-            for nu, b in other.terms.items():
-                key = mu + nu
-                out[key] = out.get(key, 0) + a * b
-        return CharPoly(out)
+        return CharPoly((mu + nu, a * b) for mu, a in self.terms.items()
+                        for nu, b in other.terms.items())
 
     __rmul__ = __mul__
 
@@ -78,7 +71,7 @@ class CharPoly:
         return CharPoly({nu + mu: c for nu, c in self.terms.items()})
 
     def sorted_terms(self) -> list[tuple[AffineWeight, int]]:
-        return sorted(self.terms.items(), key=lambda t: t[0].sort_key())
+        return sorted(self.terms.items())
 
     def __repr__(self):
         inner = " + ".join(f"{c}*e^({mu.lam}; {mu.dlt})"
@@ -99,21 +92,19 @@ def demazure_op(c: CartanA, i: int, f: CharPoly) -> CharPoly:
     k >= 0 gives the sum of e^{mu - t alpha_i} for t = 0..k;
     k = -1 kills the monomial;
     k <= -2 gives minus the sum of e^{mu + t alpha_i} for t = 1..-k-1."""
-    c.check_node(i)
     alpha = simple_root(c, i)
     out: dict[AffineWeight, int] = {}
-
-    def add(mu, coef):
-        out[mu] = out.get(mu, 0) + coef
-
     for mu, coef in f.terms.items():
-        k = mu.lam[i]
+        k = mu[i]
         if k >= 0:
-            for t in range(k + 1):
-                add(mu - t * alpha, coef)
+            step, count = -alpha, k + 1
         elif k <= -2:
-            for t in range(1, -k):
-                add(mu + t * alpha, -coef)
+            mu, step, count, coef = mu + alpha, alpha, -k - 1, -coef
+        else:
+            continue
+        for _ in range(count):
+            out[mu] = out.get(mu, 0) + coef
+            mu = _vec(map(add, mu, step))
     return CharPoly(out)
 
 
@@ -152,16 +143,13 @@ def rhs_formula(c: CartanA, lam, words, taus) -> CharPoly:
 
 def fit_delta_shift(lhs: CharPoly, rhs: CharPoly):
     """Find the rational C with lhs * e^{C delta} = rhs, matching terms by
-    Lambda coordinates.  Returns (ok, C); C is None on structural mismatch."""
-    lt = lhs.sorted_terms()
-    rt = rhs.sorted_terms()
-    if len(lt) != len(rt):
+    Lambda coordinates.  Returns (ok, C); C is None on structural mismatch.
+    The lowest terms fix the shift, an integer multiple of delta / 2m."""
+    if len(lhs) != len(rhs):
         return False, None
-    if not lt:
+    if not lhs:
         return True, Fraction(0)
-    if any(a[0].lam != b[0].lam or a[1] != b[1] for a, b in zip(lt, rt)):
+    by = min(rhs.terms) - min(lhs.terms)
+    if any(by.lam) or lhs.shifted(by) != rhs:
         return False, None
-    shift = rt[0][0].dlt - lt[0][0].dlt
-    if any(b[0].dlt - a[0].dlt != shift for a, b in zip(lt, rt)):
-        return False, None
-    return True, shift
+    return True, by.dlt

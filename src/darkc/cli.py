@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (including a verified identity), 1 when verify finds
 a mismatch, 2 on usage errors, 3 on an internal failure (ModelConsistencyError,
-RecursionError or MemoryError), which prints one line naming the subcommand.
+RecursionError or MemoryError), which prints one line naming the subcommand
+and, for build, verify, char and export, the spec's n, lambda and r.
 All output is deterministic; rationals print as reduced fraction strings.
 """
 
@@ -12,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .cartan import CartanA, delta_weight
+from .cartan import CartanA
 from .charring import char_to_json
 from .crystal import ModelConsistencyError, graph_dot, graph_json
 from .dark import (DarkSpec, FactorWord, build, dark_to_json, lhs_character,
@@ -100,19 +101,13 @@ def _cmd_verify(args) -> int:
         print("FAIL")
     if not ok:
         # best-effort alignment so the diff shows the real discrepancies
-        lt = lhs.sorted_terms()
-        rt = rhs.sorted_terms()
-        if lt and rt and lt[0][0].lam == rt[0][0].lam:
-            lhs = lhs.shifted((rt[0][0].dlt - lt[0][0].dlt)
-                              * delta_weight(spec.cartan))
-        lset = set(lhs.terms.items())
-        rset = set(rhs.terms.items())
-        for mu, coef in sorted(lset - rset, key=lambda t: t[0].sort_key()):
-            print(f"only-lhs: coef={coef} lam={list(mu.lam)} delta={mu.dlt}",
-                  file=sys.stderr)
-        for mu, coef in sorted(rset - lset, key=lambda t: t[0].sort_key()):
-            print(f"only-rhs: coef={coef} lam={list(mu.lam)} delta={mu.dlt}",
-                  file=sys.stderr)
+        if lhs and rhs and min(lhs.terms).lam == min(rhs.terms).lam:
+            lhs = lhs.shifted(min(rhs.terms) - min(lhs.terms))  # a multiple of delta
+        lset, rset = set(lhs.terms.items()), set(rhs.terms.items())
+        for side, extra in (("lhs", lset - rset), ("rhs", rset - lset)):
+            for mu, coef in sorted(extra):
+                print(f"only-{side}: coef={coef} lam={list(mu.lam)} delta={mu.dlt}",
+                      file=sys.stderr)
         return 1
     return 0
 
@@ -255,7 +250,12 @@ def main(argv=None) -> int:
         print(f"darkc: error: {exc}", file=sys.stderr)
         return 2
     except (ModelConsistencyError, RecursionError, MemoryError) as exc:
-        print(f"darkc: internal error: {args.command}: {type(exc).__name__}: {exc}",
+        where = args.command
+        if hasattr(args, "lam"):  # build, verify, char and export take a spec
+            spec = _spec_from_args(args)
+            lam, r = (",".join(map(str, parts)) for parts in (spec.lam, spec.r))
+            where += f" n={args.n} lambda={lam} r={r}"
+        print(f"darkc: internal error: {where}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
 

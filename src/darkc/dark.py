@@ -11,6 +11,7 @@ the match exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -169,12 +170,9 @@ def lhs_character(spec: DarkSpec, dark: DarkSet) -> CharPoly:
     i.e. the energy-adjusted character without the unknown e^{C delta}."""
     c = spec.cartan
     base = spec.lam[0] * fundamental_weight(c, 0)
-    delta = delta_weight(c)
-    terms: dict = {}
-    for b in dark.elements:
-        mu = base + aff_level_zero(c, b.clweight()) - total_D(b) * delta
-        terms[mu] = terms.get(mu, 0) + 1
-    return CharPoly(terms)
+    counts = Counter((b.clweight(), total_D(b)) for b in dark.elements)
+    return CharPoly({base + aff_level_zero(c, wt) - d * delta_weight(c): k
+                     for (wt, d), k in counts.items()})
 
 
 def rhs_character(spec: DarkSpec) -> CharPoly:

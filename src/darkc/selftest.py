@@ -225,12 +225,10 @@ def criterion_well_defined() -> str:
 
 
 def _random_poly(rng: random.Random, c: CartanA, terms: int) -> CharPoly:
-    data = {}
-    for _ in range(terms):
+    def term():
         lam = tuple(rng.randint(-3, 3) for _ in range(c.m))
-        mu = AffineWeight(lam, Fraction(rng.randint(-4, 4), 2 * c.m))
-        data[mu] = data.get(mu, 0) + rng.randint(-3, 3)
-    return CharPoly(data)
+        return AffineWeight(lam, Fraction(rng.randint(-4, 4), 2 * c.m)), rng.randint(-3, 3)
+    return CharPoly(term() for _ in range(terms))
 
 
 def demazure_by_division(c: CartanA, i: int, f: CharPoly) -> CharPoly:

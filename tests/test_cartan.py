@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from darkc.cartan import (AffineWeight, CartanA, ClWeight, aff_level_zero,
                           cl_simple_root, d_coeff, d_pair, delta_weight,
                           fundamental_weight, reflect, rotate, simple_root,
                           weight_from_json, weight_to_json, zero_weight)
+from darkc.selftest import _random_poly
 
 
 def solve_exact(rows, rhs):
@@ -189,3 +191,69 @@ def test_weight_json_round_trip_and_golden():
     assert blob == {"lam": [2, -1, 0], "delta": "-5/6"}
     assert weight_from_json(blob) == mu
     assert weight_to_json(zero_weight(CartanA(1)))["delta"] == "0"
+
+
+def test_affine_weight_is_an_integer_vector():
+    mu = AffineWeight((1, -2), Fraction(1, 4))
+    nu = AffineWeight((0, 3), Fraction(-3, 4))
+    assert tuple(mu) == (1, -2, 1) and mu.lam == (1, -2) and mu.dlt == Fraction(1, 4)
+    assert mu.m == 2 and mu.level == -1 and mu.coroot_pair(1) == -2
+    with pytest.raises(ValueError):
+        AffineWeight((0, 1), Fraction(1, 3))
+    assert AffineWeight((0, 1), "1/2") == AffineWeight((0, 1), Fraction(2, 4))
+    # elementwise, never the tuple's repetition or concatenation
+    for got, lam, dlt in ((2 * mu, (2, -4), Fraction(1, 2)),
+                          (mu * 2, (2, -4), Fraction(1, 2)),
+                          (-mu, (-1, 2), Fraction(-1, 4)),
+                          (mu + nu, (1, 1), Fraction(-1, 2)),
+                          (mu - nu, (1, -5), Fraction(1))):
+        assert type(got) is AffineWeight and got == AffineWeight(lam, dlt)
+    three = AffineWeight((0, 0, 0))
+    for op in (lambda: mu + three, lambda: mu - three, lambda: three - mu):
+        with pytest.raises(ValueError):
+            op()
+    assert pickle.loads(pickle.dumps(mu)) == mu
+    assert repr(mu) == "AffineWeight((1, -2), 1/4)"
+
+
+def test_affine_weight_order_is_lam_then_delta():
+    rng = random.Random(19)
+    for n in (1, 2, 3):
+        c = CartanA(n)
+        for _ in range(10):
+            f = _random_poly(rng, c, 12)
+            assert [mu for mu, _ in f.sorted_terms()] == \
+                sorted(f.terms, key=lambda mu: (mu.lam, mu.dlt))
+            for i in c.nodes:
+                # the leading-term key of selftest.demazure_by_division
+                assert sorted(f.terms, key=lambda mu: (mu.lam[i],) + mu.sort_key()) == \
+                    sorted(f.terms, key=lambda mu: (mu.lam[i], mu.lam, mu.dlt))
+
+
+def test_weight_json_delta_for_every_denominator_of_2m():
+    for m in range(2, 8):
+        lam = tuple(range(m))
+        for q in (q for q in range(1, 2 * m + 1) if (2 * m) % q == 0):
+            for p in range(-2 * q, 2 * q + 1):
+                mu = AffineWeight(lam, Fraction(p, q))
+                assert weight_to_json(mu) == {"lam": list(lam), "delta": str(Fraction(p, q))}
+                assert weight_from_json(weight_to_json(mu)) == mu
+
+
+def test_pairing_reflection_and_section_match_the_fraction_formulas():
+    rng = random.Random(23)
+    for n in range(1, 7):
+        c = CartanA(n)
+        for _ in range(30):
+            mu = AffineWeight(tuple(rng.randint(-4, 4) for _ in range(c.m)),
+                              Fraction(rng.randint(-6, 6), 2 * c.m))
+            want = sum((v * d_coeff(c, j) for j, v in enumerate(mu.lam)), Fraction(0))
+            assert d_pair(c, mu) == want + mu.dlt
+            for i in c.nodes:
+                k = mu.lam[i]
+                assert reflect(c, i, mu) == AffineWeight(
+                    tuple(v - k * c.a(j, i) for j, v in enumerate(mu.lam)),
+                    mu.dlt - k * Fraction(1, c.m))
+            lam = list(mu.lam[:-1]) + [-sum(mu.lam[:-1])]
+            want = -sum((v * d_coeff(c, j) for j, v in enumerate(lam)), Fraction(0))
+            assert aff_level_zero(c, ClWeight(tuple(lam))) == AffineWeight(tuple(lam), want)

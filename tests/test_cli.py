@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from darkc import kr
+from darkc import dark, kr
 from darkc.cli import main
 from darkc.crystal import ModelConsistencyError
 
@@ -130,6 +130,21 @@ def test_internal_errors_exit_3(monkeypatch, capsys, error):
     assert err == f"darkc: internal error: energy: {error.__name__}: table build failed\n"
 
 
+@pytest.mark.parametrize("argv, where", [
+    (("verify", "--n", "2", "--lambda", "2 1", "--w", "2 1;"), "verify n=2 lambda=2,1 r=1,1"),
+    (("build", "--n", "3", "--lambda", "2,1", "--r", "2,3"), "build n=3 lambda=2,1 r=2,3"),
+])
+@pytest.mark.parametrize("error", [ModelConsistencyError, RecursionError, MemoryError])
+def test_internal_errors_name_the_spec(monkeypatch, capsys, error, argv, where):
+    def broken(c, r, s):
+        raise error("table build failed")
+
+    monkeypatch.setattr(dark, "find_b_rs", broken)
+    code, out, err = run_main(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == f"darkc: internal error: {where}: {error.__name__}: table build failed\n"
+
+
 def test_missing_flag_exits_2():
     proc = run_proc("verify", "--n", "1")
     assert proc.returncode == 2
@@ -159,3 +174,27 @@ def test_verify_failure_diff_smoke(monkeypatch, capsys):
     assert out == "FAIL\n"
     assert "only-lhs" in err and "only-rhs" in err
     monkeypatch.setattr(cli, "verify_detail", real)
+
+
+@pytest.mark.parametrize("flag, stdout", [((), "FAIL\n"),
+                                          (("--json",), '{"ok": false, "C": null}\n')])
+def test_verify_failure_diff_exact(monkeypatch, capsys, flag, stdout):
+    # quarters of delta at n = 1; the lowest terms differ by -1/2 in delta, so
+    # the lhs is shifted by -1/2 before the diff, and each side keeps one term
+    # that the other lacks
+    import darkc.cli as cli
+    from fractions import Fraction
+    from darkc.charring import CharPoly
+    from darkc.cartan import AffineWeight
+
+    def poly(*terms):
+        return CharPoly({AffineWeight(lam, Fraction(d)): c for lam, d, c in terms})
+
+    lhs = poly(((0, 1), "1/4", 1), ((1, 0), "3/4", 1), ((2, -1), "1/4", 1))
+    rhs = poly(((0, 1), "-1/4", 1), ((1, 0), "1/4", 1), ((2, -1), "1/4", 2))
+    monkeypatch.setattr(cli, "verify_detail", lambda spec: (False, None, lhs, rhs))
+    code, out, err = run_main(capsys, "verify", "--n", "1", "--lambda", "1", *flag)
+    assert code == 1
+    assert out == stdout
+    assert err == ("only-lhs: coef=1 lam=[2, -1] delta=-1/4\n"
+                   "only-rhs: coef=2 lam=[2, -1] delta=1/4\n")

@@ -183,3 +183,27 @@ def test_char_json_of_rhs_is_sorted():
     blob = char_to_json(rhs_character(spec))
     lams = [tuple(item["lam"]) for item in blob]
     assert lams == sorted(lams)
+
+
+def test_verify_builds_no_fraction_per_element(monkeypatch):
+    # delta is an integer numerator over 2m, so the count must not grow with
+    # the set (18 against 2700 elements) or with the rhs terms
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    c = CartanA(2)
+    word = reduced_word(kr_translation_data(c, 1)[0])
+    specs = [make_spec(2, lam, words=(word,) * len(lam)) for lam in ((2, 1), (4, 3, 2, 1))]
+    assert [len(build(spec)) for spec in specs] == [18, 2700]
+    counts = []
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for spec in specs:
+        made.clear()
+        assert verify(spec)[0]
+        counts.append(len(made))
+    monkeypatch.undo()
+    assert counts == [1, 1]  # the fitted C
