@@ -4,8 +4,7 @@ tensor products, Demazure closures, energy, and the character identity."""
 from .cartan import (AffineWeight, CartanA, ClWeight, aff_level_zero, d_pair,
                      reflect, rotate, simple_root)
 from .charring import CharPoly, demazure_op, demazure_word, rhs_formula, sigma_act
-from .crystal import (ModelConsistencyError, TensorElt, demazure_closure,
-                      f_closure, stats)
+from .crystal import ModelConsistencyError, TensorElt, demazure_closure, f_closure
 from .dark import (DarkSet, DarkSpec, FactorWord, build, lhs_character,
                    make_spec, typeA_rows, verify, well_definedness_check)
 from .energy import comb_R, local_H, total_D
@@ -19,6 +18,6 @@ __all__ = [
     "demazure_closure", "demazure_op", "demazure_word", "f_closure",
     "factor_sigma", "find_b_rs", "generate", "kr_translation_data",
     "lhs_character", "local_H", "make_spec", "promotion", "reflect",
-    "rhs_formula", "rotate", "sigma_act", "simple_root", "stats", "total_D",
+    "rhs_formula", "rotate", "sigma_act", "simple_root", "total_D",
     "twist", "typeA_rows", "verify", "well_definedness_check",
 ]

@@ -61,12 +61,29 @@ def phi(b: CrystalElt, i: int) -> int:
     return b.stats(i)[1]
 
 
-def stats(i: int, b: CrystalElt) -> tuple[int, int]:
-    return b.stats(i)
-
-
-def weight(b: CrystalElt) -> ClWeight:
-    return b.clweight()
+def signature_rule(factors, i: int) -> tuple[int, int, int | None, int | None]:
+    """Kashiwara's signature rule on node i over the factors' stats(i): factor
+    by factor, eps_i signs '-' then phi_i signs '+', where a '+' cancels a
+    later '-'.  Folded left to right, it returns (eps_i, phi_i, the factor of
+    the rightmost uncancelled '-', the factor of the leftmost uncancelled
+    '+'); a factor is None when no such sign is left.  TensorElt and the
+    integer codes of `dark.Codes` both apply their operators through it."""
+    ep = ph = k = 0
+    up = down = None
+    for b in factors:
+        eb, pb = b.stats(i)
+        if eb > ph:
+            ep += eb - ph
+            up = k
+            ph = pb
+            down = k if pb else None
+        elif eb == ph:
+            ph = pb
+            down = k if pb else None
+        else:
+            ph += pb - eb
+        k += 1
+    return ep, ph, up, down
 
 
 class TensorElt(CrystalElt):
@@ -108,35 +125,12 @@ class TensorElt(CrystalElt):
     def cartan(self):
         return self.factors[0].cartan
 
-    def _rule(self, i):
-        """Kashiwara's signature rule on the factors' (eps_i, phi_i): factor
-        by factor, eps_i signs '-' then phi_i signs '+', where a '+' cancels
-        a later '-'.  Folded left to right, it returns (eps_i, phi_i, the
-        factor of the rightmost uncancelled '-', the factor of the leftmost
-        uncancelled '+'); a factor is None when no such sign is left."""
-        ep = ph = k = 0
-        up = down = None
-        for b in self.factors:
-            eb, pb = b.stats(i)
-            if eb > ph:
-                ep += eb - ph
-                up = k
-                ph = pb
-                down = k if pb else None
-            elif eb == ph:
-                ph = pb
-                down = k if pb else None
-            else:
-                ph += pb - eb
-            k += 1
-        return ep, ph, up, down
-
     def stats(self, i) -> tuple[int, int]:
-        return self._rule(i)[:2]
+        return signature_rule(self.factors, i)[:2]
 
     @lru_cache(maxsize=0)
     def e(self, i):
-        idx = self._rule(i)[2]
+        idx = signature_rule(self.factors, i)[2]
         if idx is None:
             return None
         b = self.factors[idx].e(i)
@@ -146,7 +140,7 @@ class TensorElt(CrystalElt):
 
     @lru_cache(maxsize=0)
     def f(self, i):
-        idx = self._rule(i)[3]
+        idx = signature_rule(self.factors, i)[3]
         if idx is None:
             return None
         b = self.factors[idx].f(i)

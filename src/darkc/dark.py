@@ -7,6 +7,19 @@ the next distinguished element on the left, close again, and so on.  Its
 character, graded by the energy statistic, must match the nested Demazure
 operator formula up to one global shift e^{C delta}; verify fits C and tests
 the match exactly.
+
+`build` works on integer codes: an element of B_1 (x) ... (x) B_p is the tuple
+of its factors' positions in their KRTables (`Codes`), f_i is the signature
+rule over the tables' arrays, and the twist is a read of their promotion
+powers.  The final set keeps its energy D with each code.  D is constant on
+classical components: the local energy H is classically invariant and the
+R-matrix commutes with the classical e_i and f_i (Shimozono 2002;
+Schilling-Tingley, arXiv:1104.2359).  So a closure step along a classical
+letter copies D from its source, and only the seeds b (x) twist(x) and the
+elements first reached by f_0 take a total_D walk.  The words of a spec lie
+below y_r in the classical Weyl group and hold no 0, so in `build` the walks
+are one per seed.  TensorElt objects appear only at the boundary: parsing,
+printing, export and the oracles.
 """
 
 from __future__ import annotations
@@ -14,13 +27,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from operator import add, getitem
 
-from .cartan import CartanA, aff_level_zero, delta_weight, fundamental_weight
+from .cartan import CartanA, ClWeight, aff_level_zero, delta_weight, fundamental_weight
 from .charring import CharPoly, fit_delta_shift, rhs_formula
-from .crystal import TensorElt, demazure_closure
+from .crystal import ModelConsistencyError, TensorElt, signature_rule
 from .energy import total_D
-from .kr import find_b_rs, generate, twist
+from .kr import find_b_rs, generate
 from .weyl import (all_reduced_words, bruhat_leq, from_word,
                    kr_translation_data, length)
 
@@ -109,45 +124,112 @@ def validate(spec: DarkSpec) -> None:
                 f"factor {j}: word {fw.word} is not below y_{rj} in Bruhat order")
 
 
-@dataclass(frozen=True)
+class Codes:
+    """The tensor product of the KR crystals of some tables, with an element
+    coded as the tuple of its factors' positions in them.  Positions follow
+    each table's canonical order, so codes sort as their elements do."""
+
+    def __init__(self, tables):
+        self.tables = tuple(tables)
+
+    def f(self, i: int):
+        """f_i on codes as a function: the signature rule over the factors'
+        stats(i), which are reads of the tables' stats[i], then one read of
+        the chosen factor's f[i].  The function returns None where f_i gives 0."""
+        elements = [t.elements for t in self.tables]
+        arrows = [t.f[i] for t in self.tables]
+
+        def step(x):
+            down = signature_rule(map(getitem, elements, x), i)[3]
+            if down is None:
+                return None
+            k = arrows[down][x[down]]
+            if k < 0:
+                raise ModelConsistencyError("tensor rule chose a dead factor for f")
+            return x[:down] + (k,) + x[down + 1:]
+        return step
+
+    @cached_property
+    def lams(self) -> list[list[tuple[int, ...]]]:
+        """The tables' wt arrays as int tuples."""
+        return [[w.lam for w in t.wt] for t in self.tables]
+
+    def weight(self, x) -> tuple[int, ...]:
+        """The classical weight of a nonempty code x as an int tuple."""
+        lams = map(getitem, self.lams, x)
+        w = next(lams)
+        for lam in lams:
+            w = tuple(map(add, w, lam))
+        return w
+
+    def element(self, x) -> TensorElt:
+        return TensorElt(tuple([t.elements[k] for t, k in zip(self.tables, x)]))
+
+    def code(self, b: TensorElt) -> tuple[int, ...]:
+        if any(a.table is not t for a, t in zip(b.factors, self.tables, strict=True)):
+            raise ValueError(f"{b.text()} is not in {' (x) '.join(t.name for t in self.tables)}")
+        return tuple(a.pos for a in b.factors)
+
+
+@dataclass(frozen=True, eq=False)
 class DarkSet:
+    """A DARK set as codes over `product`, each mapped to its energy D."""
+
     spec: DarkSpec
-    elements: frozenset
+    product: Codes
+    energies: dict
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.energies)
+
+    @cached_property
+    def elements(self) -> frozenset:
+        return frozenset(map(self.product.element, self.energies))
 
     def sorted_elements(self) -> list[TensorElt]:
-        return sorted(self.elements, key=lambda b: b.sort_key())
+        return [self.product.element(x) for x in sorted(self.energies)]
 
 
-def _factor_data(spec: DarkSpec):
-    c = spec.cartan
-    out = []
-    for rj, sj in zip(spec.r, spec.lam):
-        y, tau = kr_translation_data(c, rj)
-        out.append((find_b_rs(c, rj, sj), y, tau))
-    return out
+def _close(space: Codes, letters, energies: dict, walk) -> dict:
+    """F_{i_1}(... F_{i_k}(S)) on a {code: D} map, innermost letter last.  D
+    is constant on classical components, so a step along a classical f_i
+    copies D from its source; an element first reached by f_0 gets walk(it)."""
+    for i in reversed(letters):
+        f = space.f(i)
+        frontier = list(energies)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                y = f(x)
+                if y is not None and y not in energies:
+                    energies[y] = energies[x] if i else walk(y)
+                    nxt.append(y)
+            frontier = nxt
+    return energies
 
 
 def build(spec: DarkSpec) -> DarkSet:
-    """Right-to-left evaluation of the nested closure/twist construction."""
+    """Right-to-left evaluation of the nested closure/twist construction on
+    codes.  Only the outermost closure, the final set, needs D: its seeds and
+    its elements first reached by f_0 get one total_D walk each."""
     validate(spec)
-    data = _factor_data(spec)
-    p = spec.p
-    current = demazure_closure(spec.words[p - 1].letters,
-                               {TensorElt((data[p - 1][0],))})
-    for j in range(p - 2, -1, -1):
-        tau_j = data[j][2]
-        seeds = {TensorElt((data[j][0],) + twist(tau_j, x).factors)
-                 for x in current}
-        current = demazure_closure(spec.words[j].letters, seeds)
-    return DarkSet(spec, frozenset(current))
+    c = spec.cartan
+    dist = [find_b_rs(c, rj, sj) for rj, sj in zip(spec.r, spec.lam)]
+    tables = [b.table for b in dist]
+    energies = {(): None}  # the one element of the empty tensor product
+    for j in range(spec.p - 1, -1, -1):
+        space = Codes(tables[j:])
+        tau = kr_translation_data(c, spec.r[j])[1]
+        twist = [t.pr_powers[tau % c.m] for t in tables[j + 1:]]
+        walk = (lambda x: total_D(space.element(x))) if j == 0 else (lambda x: None)
+        seeds = ((dist[j].pos,) + tuple(map(getitem, twist, x)) for x in energies)
+        energies = _close(space, spec.words[j].letters, {y: walk(y) for y in seeds}, walk)
+    return DarkSet(spec, space, energies)
 
 
 def well_definedness_check(spec: DarkSpec, cap: int = 10) -> bool:
     """Rebuild the set for every combination of reduced words of every prefix
-    and word; True when all the resulting sets coincide."""
+    and word; True when all the resulting code sets coincide."""
     validate(spec)
     c = spec.cartan
     choices = []
@@ -157,7 +239,7 @@ def well_definedness_check(spec: DarkSpec, cap: int = 10) -> bool:
         choices.append([FactorWord(a, b) for a in sorted(pv) for b in sorted(wv)])
     reference = None
     for combo in product(*choices):
-        got = build(DarkSpec(c, spec.lam, spec.r, combo)).elements
+        got = build(DarkSpec(c, spec.lam, spec.r, combo)).energies.keys()
         if reference is None:
             reference = got
         elif got != reference:
@@ -170,8 +252,9 @@ def lhs_character(spec: DarkSpec, dark: DarkSet) -> CharPoly:
     i.e. the energy-adjusted character without the unknown e^{C delta}."""
     c = spec.cartan
     base = spec.lam[0] * fundamental_weight(c, 0)
-    counts = Counter((b.clweight(), total_D(b)) for b in dark.elements)
-    return CharPoly({base + aff_level_zero(c, wt) - d * delta_weight(c): k
+    counts = Counter(zip(map(dark.product.weight, dark.energies), dark.energies.values()))
+    delta = delta_weight(c)
+    return CharPoly({base + aff_level_zero(c, ClWeight(wt)) - d * delta: k
                      for (wt, d), k in counts.items()})
 
 
@@ -258,7 +341,9 @@ def dark_from_json(obj: dict) -> DarkSet:
     spec = make_spec(obj["n"], obj["lambda"], obj["r"],
                      [(tuple(w["prefix"]), tuple(w["word"])) for w in obj["words"]])
     c = spec.cartan
-    elements = frozenset(
-        TensorElt(tuple(parse_tableau(c, t, r) for t, r in zip(texts, spec.r)))
-        for texts in obj["elements"])
-    return DarkSet(spec, elements)
+    product = Codes(find_b_rs(c, rj, sj).table for rj, sj in zip(spec.r, spec.lam))
+    energies = {}
+    for texts in obj["elements"]:
+        b = TensorElt(tuple(parse_tableau(c, t, r) for t, r in zip(texts, spec.r)))
+        energies[product.code(b)] = total_D(b)
+    return DarkSet(spec, product, energies)

@@ -10,13 +10,14 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import prod
 
 from .cartan import (AffineWeight, CartanA, cl_simple_root, reflect, rotate,
                      simple_root)
 from .charring import CharPoly, demazure_op, sigma_act
 from .crystal import (ModelConsistencyError, TensorElt, classical_highest_path,
-                      demazure_closure, eps, stats)
+                      demazure_closure, eps)
 from .dark import DarkSpec, FactorWord, build, full_tensor, verify, \
     well_definedness_check
 from .energy import comb_R, local_H
@@ -53,18 +54,9 @@ def _axiom_families():
         singles = {sh: generate(c, *sh) for sh in shapes}
         for sh in shapes:
             yield c, list(singles[sh])
-        for combo in product(shapes, repeat=2):
-            size = len(singles[combo[0]]) * len(singles[combo[1]])
-            if size <= PRODUCT_CAP:
-                yield c, [TensorElt(t) for t in
-                          product(singles[combo[0]], singles[combo[1]])]
-        for combo in product(shapes, repeat=3):
-            size = 1
-            for sh in combo:
-                size *= len(singles[sh])
-            if size <= PRODUCT_CAP:
-                yield c, [TensorElt(t) for t in
-                          product(*(singles[sh] for sh in combo))]
+        for combo in chain(product(shapes, repeat=2), product(shapes, repeat=3)):
+            if prod(len(singles[sh]) for sh in combo) <= PRODUCT_CAP:
+                yield c, [TensorElt(t) for t in product(*(singles[sh] for sh in combo))]
 
 
 def criterion_axioms() -> str:
@@ -79,7 +71,7 @@ def criterion_axioms() -> str:
             _need(w.level == 0, "nonzero level at %r", b)
             for i in c.nodes:
                 up, down = b.e(i), b.f(i)
-                ep, ph = stats(i, b)
+                ep, ph = b.stats(i)
                 _need(w.lam[i] == ph - ep,
                       "weight pairing broken at %r, i=%d", b, i)
                 if up is not None:

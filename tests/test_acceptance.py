@@ -79,18 +79,28 @@ def test_criterion_09_maximal_words_full_tensor():
     _run(9, "maximal-words-full-tensor")
 
 
-def _selftest_bytes(hash_seed):
+def _start_selftest(hash_seed):
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-    proc = subprocess.run([sys.executable, "-m", "darkc", "selftest"],
-                          capture_output=True, env=env)
-    assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()
-    return proc.stdout
+    return subprocess.Popen([sys.executable, "-m", "darkc", "selftest"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+
+
+def _selftest_bytes(proc):
+    out, err = proc.communicate()
+    assert proc.returncode == 0, out.decode() + err.decode()
+    return out
 
 
 @pytest.mark.slow
 def test_criterion_10_determinism():
-    first = _selftest_bytes("0")
-    second = _selftest_bytes("1")
+    # both processes start before either is waited on, so they run side by side
+    procs = [_start_selftest(seed) for seed in ("0", "1")]
+    try:
+        first, second = (_selftest_bytes(proc) for proc in procs)
+    finally:
+        for proc in procs:
+            proc.kill()  # a no-op on a process that has exited
+            proc.wait()
     assert first == second, "selftest output depends on the process"
     assert first.endswith(b"selftest: PASS\n")
     print("criterion 10 determinism: PASS (byte-identical selftest logs)")

@@ -4,8 +4,7 @@ import pytest
 
 from darkc.cartan import CartanA, ClWeight, cl_simple_root
 from darkc.crystal import (TensorElt, classical_highest_path, demazure_closure,
-                           eps, f_closure, graph_dot, graph_json, phi, stats,
-                           weight)
+                           eps, f_closure, graph_dot, graph_json, phi)
 from darkc.kr import generate, parse_tableau
 from darkc.selftest import _axiom_families
 
@@ -28,9 +27,9 @@ def test_tensor_rule_examples_n1():
 
 def test_stats_example():
     b = elt(1, "1")
-    assert stats(0, b) == (1, 0)
-    assert stats(1, b) == (0, 1)
-    assert weight(b) == ClWeight((-1, 1))
+    assert b.stats(0) == (1, 0)
+    assert b.stats(1) == (0, 1)
+    assert b.clweight() == ClWeight((-1, 1))
 
 
 def test_weight_step_under_operators():
@@ -39,7 +38,7 @@ def test_weight_step_under_operators():
         for i in c.nodes:
             down = T.f(i)
             if down is not None:
-                assert weight(T) - weight(down) == cl_simple_root(c, i)
+                assert T.clweight() - down.clweight() == cl_simple_root(c, i)
 
 
 def test_tensor_stats_match_two_factor_formula():
