@@ -175,6 +175,7 @@ def delta_weight(c: CartanA) -> AffineWeight:
     return _vec((0,) * c.m + (2 * c.m,))
 
 @lru_cache(maxsize=None)
+@lru_cache(maxsize=None)
 def cl_simple_root(c: CartanA, i: int) -> ClWeight:
     """cl(alpha_i): the delta coefficient is dropped."""
     c.check_node(i)

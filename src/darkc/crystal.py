@@ -61,17 +61,17 @@ def phi(b: CrystalElt, i: int) -> int:
     return b.stats(i)[1]
 
 
-def signature_rule(factors, i: int) -> tuple[int, int, int | None, int | None]:
-    """Kashiwara's signature rule on node i over the factors' stats(i): factor
-    by factor, eps_i signs '-' then phi_i signs '+', where a '+' cancels a
-    later '-'.  Folded left to right, it returns (eps_i, phi_i, the factor of
-    the rightmost uncancelled '-', the factor of the leftmost uncancelled
-    '+'); a factor is None when no such sign is left.  TensorElt and the
-    integer codes of `dark.Codes` both apply their operators through it."""
+def signature_rule(pairs) -> tuple[int, int, int | None, int | None]:
+    """Kashiwara's signature rule on one node over the factors' (eps_i, phi_i)
+    pairs: factor by factor, eps_i signs '-' then phi_i signs '+', where a '+'
+    cancels a later '-'.  Folded left to right, it returns (eps_i, phi_i, the
+    factor of the rightmost uncancelled '-', the factor of the leftmost
+    uncancelled '+'); a factor is None when no such sign is left.  TensorElt
+    passes its factors' stats(i); the integer codes of `dark.Codes` pass reads
+    of their tables' stats[i] arrays."""
     ep = ph = k = 0
     up = down = None
-    for b in factors:
-        eb, pb = b.stats(i)
+    for eb, pb in pairs:
         if eb > ph:
             ep += eb - ph
             up = k
@@ -126,11 +126,11 @@ class TensorElt(CrystalElt):
         return self.factors[0].cartan
 
     def stats(self, i) -> tuple[int, int]:
-        return signature_rule(self.factors, i)[:2]
+        return signature_rule([b.stats(i) for b in self.factors])[:2]
 
     @lru_cache(maxsize=0)
     def e(self, i):
-        idx = signature_rule(self.factors, i)[2]
+        idx = signature_rule([b.stats(i) for b in self.factors])[2]
         if idx is None:
             return None
         b = self.factors[idx].e(i)
@@ -140,7 +140,7 @@ class TensorElt(CrystalElt):
 
     @lru_cache(maxsize=0)
     def f(self, i):
-        idx = signature_rule(self.factors, i)[3]
+        idx = signature_rule([b.stats(i) for b in self.factors])[3]
         if idx is None:
             return None
         b = self.factors[idx].f(i)

@@ -124,30 +124,49 @@ def validate(spec: DarkSpec) -> None:
                 f"factor {j}: word {fw.word} is not below y_{rj} in Bruhat order")
 
 
+def _move(x, k, arrows, side):
+    """x with factor k moved along its table's array; None for no factor k."""
+    if k is None:
+        return None
+    j = arrows[k][x[k]]
+    if j < 0:
+        raise ModelConsistencyError(f"tensor rule chose a dead factor for {side}")
+    return x[:k] + (j,) + x[k + 1:]
+
+
 class Codes:
     """The tensor product of the KR crystals of some tables, with an element
     coded as the tuple of its factors' positions in them.  Positions follow
-    each table's canonical order, so codes sort as their elements do."""
+    each table's canonical order, so codes sort as their elements do.  `build`
+    runs on codes, and selftest criteria 1 and 2 check them."""
 
     def __init__(self, tables):
         self.tables = tuple(tables)
 
-    def f(self, i: int):
-        """f_i on codes as a function: the signature rule over the factors'
-        stats(i), which are reads of the tables' stats[i], then one read of
-        the chosen factor's f[i].  The function returns None where f_i gives 0."""
-        elements = [t.elements for t in self.tables]
-        arrows = [t.f[i] for t in self.tables]
+    def __iter__(self):
+        """Every code, in canonical order."""
+        return product(*(range(len(t.elements)) for t in self.tables))
 
-        def step(x):
-            down = signature_rule(map(getitem, elements, x), i)[3]
-            if down is None:
-                return None
-            k = arrows[down][x[down]]
-            if k < 0:
-                raise ModelConsistencyError("tensor rule chose a dead factor for f")
-            return x[:down] + (k,) + x[down + 1:]
-        return step
+    def node(self, i: int):
+        """x -> (eps_i, phi_i, e_i x, f_i x) on codes: one fold of the signature
+        rule over reads of the tables' stats[i], then one read of the e[i] and
+        f[i] arrays of the factors it chose, each None where the operator gives
+        0.  A chosen factor that its array kills is a ModelConsistencyError."""
+        stats = [t.stats[i] for t in self.tables]
+        ups = [t.e[i] for t in self.tables]
+        downs = [t.f[i] for t in self.tables]
+
+        def row(x):
+            ep, ph, up, down = signature_rule(map(getitem, stats, x))
+            return ep, ph, _move(x, up, ups, "e"), _move(x, down, downs, "f")
+        return row
+
+    def f(self, i: int):
+        """x -> f_i x, the f half of `node`: the same fold and move, without the
+        e read that `build` does not need."""
+        stats = [t.stats[i] for t in self.tables]
+        downs = [t.f[i] for t in self.tables]
+        return lambda x: _move(x, signature_rule(map(getitem, stats, x))[3], downs, "f")
 
     @cached_property
     def lams(self) -> list[list[tuple[int, ...]]]:
@@ -344,6 +363,10 @@ def dark_from_json(obj: dict) -> DarkSet:
     product = Codes(find_b_rs(c, rj, sj).table for rj, sj in zip(spec.r, spec.lam))
     energies = {}
     for texts in obj["elements"]:
+        if len(texts) != spec.p:
+            raise ValueError(f"element {'|'.join(texts)} has {len(texts)} factors, not {spec.p}")
         b = TensorElt(tuple(parse_tableau(c, t, r) for t, r in zip(texts, spec.r)))
         energies[product.code(b)] = total_D(b)
+    if obj["size"] != len(energies):
+        raise ValueError(f"size {obj['size']} but {len(energies)} distinct elements")
     return DarkSet(spec, product, energies)

@@ -3,6 +3,10 @@
 Each criterion function returns a short deterministic summary string and
 raises CheckFailure on the first violation.  Nothing here depends on hash
 ordering or wall time, so repeated runs print identical bytes.
+
+Criteria 1 and 2 check the crystal axioms and the tensor twist equations on
+`dark.Codes`, the integer codes that `build` runs on; an element is built
+only to name it in a failure.  Criterion 2 checks promotion on the tableaux.
 """
 
 from __future__ import annotations
@@ -12,17 +16,18 @@ from collections import deque
 from fractions import Fraction
 from itertools import chain, product
 from math import prod
+from operator import getitem, sub
 
 from .cartan import (AffineWeight, CartanA, cl_simple_root, reflect, rotate,
                      simple_root)
 from .charring import CharPoly, demazure_op, sigma_act
 from .crystal import (ModelConsistencyError, TensorElt, classical_highest_path,
                       demazure_closure, eps)
-from .dark import DarkSpec, FactorWord, build, full_tensor, verify, \
+from .dark import Codes, DarkSpec, FactorWord, build, full_tensor, verify, \
     well_definedness_check
 from .energy import comb_R, local_H
 from .kr import (find_b_rs, generate, promotion, promotion_inverse,
-                 promotion_inverse_by_slides, twist)
+                 promotion_inverse_by_slides)
 from .weyl import bruhat_lower_interval, kr_translation_data, reduced_word
 
 AXIOM_RANKS = (1, 2, 3)
@@ -46,43 +51,86 @@ def single_shapes(n: int) -> list[tuple[int, int]]:
 
 
 def _axiom_families():
-    """(cartan, element list) pairs: every grid B^{r,s} plus all tensor pairs
-    and triples with at most PRODUCT_CAP elements."""
+    """(cartan, Codes) pairs: every grid B^{r,s} as a one-factor product, then
+    all tensor pairs and triples with at most PRODUCT_CAP elements."""
     for n in AXIOM_RANKS:
         c = CartanA(n)
         shapes = single_shapes(n)
-        singles = {sh: generate(c, *sh) for sh in shapes}
+        tables = {sh: generate(c, *sh)[0].table for sh in shapes}
         for sh in shapes:
-            yield c, list(singles[sh])
+            yield c, Codes((tables[sh],))
         for combo in chain(product(shapes, repeat=2), product(shapes, repeat=3)):
-            if prod(len(singles[sh]) for sh in combo) <= PRODUCT_CAP:
-                yield c, [TensorElt(t) for t in product(*(singles[sh] for sh in combo))]
+            if prod(len(tables[sh].elements) for sh in combo) <= PRODUCT_CAP:
+                yield c, Codes(tables[sh] for sh in combo)
+
+
+def _family(c: CartanA, space: Codes):
+    """{code: weight} and, per node i, {code: (eps_i, phi_i, e_i, f_i)} over the
+    space; built per family, so the rows of all families never live together."""
+    codes = list(space)
+    wt = dict(zip(codes, map(space.weight, codes)))
+    return wt, [dict(zip(codes, map(space.node(i), codes))) for i in c.nodes]
+
+
+def _fail(space: Codes, msg: str, x, *args):
+    """Raise CheckFailure naming the element of code x, built only now."""
+    raise CheckFailure(msg % ((space.element(x),) + args))
 
 
 def criterion_axioms() -> str:
-    """Crystal axioms for every node on every grid crystal and tensor."""
+    """Crystal axioms for every node on every grid crystal and tensor, on codes."""
     families = 0
     elements = 0
-    for c, elts in _axiom_families():
+    for c, space in _axiom_families():
         families += 1
-        for b in elts:
-            elements += 1
-            w = b.clweight()
-            _need(w.level == 0, "nonzero level at %r", b)
-            for i in c.nodes:
-                up, down = b.e(i), b.f(i)
-                ep, ph = b.stats(i)
-                _need(w.lam[i] == ph - ep,
-                      "weight pairing broken at %r, i=%d", b, i)
+        wt, rows = _family(c, space)
+        elements += len(wt)
+        for x, w in wt.items():
+            if sum(w):
+                _fail(space, "nonzero level at %r", x)
+        for i in c.nodes:
+            alpha = cl_simple_root(c, i).lam
+            node = rows[i]
+            for x, (ep, ph, up, down) in node.items():
+                w = wt[x]
+                if w[i] != ph - ep:
+                    _fail(space, "weight pairing broken at %r, i=%d", x, i)
                 if up is not None:
-                    _need(up.f(i) == b, "f_i e_i != id at %r, i=%d", b, i)
-                    _need(up.clweight() - w == cl_simple_root(c, i),
-                          "wt(e_i b) != wt(b) + alpha_i at %r, i=%d", b, i)
+                    if node[up][3] != x:
+                        _fail(space, "f_i e_i != id at %r, i=%d", x, i)
+                    if tuple(map(sub, wt[up], w)) != alpha:
+                        _fail(space, "wt(e_i b) != wt(b) + alpha_i at %r, i=%d", x, i)
                 if down is not None:
-                    _need(down.e(i) == b, "e_i f_i != id at %r, i=%d", b, i)
-                    _need(w - down.clweight() == cl_simple_root(c, i),
-                          "wt(f_i b) != wt(b) - alpha_i at %r, i=%d", b, i)
+                    if node[down][2] != x:
+                        _fail(space, "e_i f_i != id at %r, i=%d", x, i)
+                    if tuple(map(sub, w, wt[down])) != alpha:
+                        _fail(space, "wt(f_i b) != wt(b) - alpha_i at %r, i=%d", x, i)
     return f"{families} crystals, {elements} elements"
+
+
+def _tensor_twists() -> int:
+    """The twist equations, twisting by the tables' pr arrays, on every code of
+    the criterion-1 products of two or three factors; returns their count."""
+    checked = 0
+    for c, space in _axiom_families():
+        if len(space.tables) == 1:
+            continue
+        prs = [t.pr for t in space.tables]
+        wt, rows = _family(c, space)
+        cut = c.m - 1  # rotate(c, 1, .) on int tuples: coefficient j moves to j + 1
+        for x, w in wt.items():
+            z = tuple(map(getitem, prs, x))
+            if wt[z] != w[cut:] + w[:cut]:
+                _fail(space, "tensor twist weight broken at %r", x)
+            for i in c.nodes:
+                _, _, up, down = rows[i][x]
+                _, _, z_up, z_down = rows[(i + 1) % c.m][z]
+                if (None if down is None else tuple(map(getitem, prs, down))) != z_down:
+                    _fail(space, "tensor twist f equation broken at %r, i=%d", x, i)
+                if (None if up is None else tuple(map(getitem, prs, up))) != z_up:
+                    _fail(space, "tensor twist e equation broken at %r, i=%d", x, i)
+            checked += 1
+    return checked
 
 
 def criterion_twists() -> str:
@@ -114,25 +162,7 @@ def criterion_twists() -> str:
                     _need((None if ei is None else promotion(ei))
                           == promotion(T).e((i + 1) % c.m),
                           "twist e equation broken at %r, i=%d", T, i)
-    # tensor-level twist over the whole criterion-1 grid
-    for c, elts in _axiom_families():
-        if not elts or not isinstance(elts[0], TensorElt):
-            continue
-        for x in elts:
-            z = twist(1, x)
-            _need(z.clweight() == rotate(c, 1, x.clweight()),
-                  "tensor twist weight broken at %r", x)
-            for i in c.nodes:
-                fi = x.f(i)
-                _need((None if fi is None else twist(1, fi))
-                      == z.f((i + 1) % c.m),
-                      "tensor twist f equation broken at %r, i=%d", x, i)
-                ei = x.e(i)
-                _need((None if ei is None else twist(1, ei))
-                      == z.e((i + 1) % c.m),
-                      "tensor twist e equation broken at %r, i=%d", x, i)
-            checked += 1
-    return f"{checked} elements"
+    return f"{checked + _tensor_twists()} elements"
 
 
 def criterion_brs_unique() -> str:

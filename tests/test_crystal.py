@@ -98,9 +98,10 @@ def test_string_lengths():
     # grid at n <= 2, and on both nestings of every grid triple at n = 1
     c = CartanA(2)
     families = [(c, list(generate(c, 2, 2)))]
-    for c, elts in _axiom_families():
-        if c.n > 2 or not isinstance(elts[0], TensorElt):
+    for c, space in _axiom_families():
+        if c.n > 2 or len(space.tables) == 1:
             continue
+        elts = [space.element(x) for x in space]
         family = list(elts)
         if c.n == 1 and len(elts[0].factors) == 3:
             family += [TensorElt((TensorElt(x.factors[:2]), x.factors[2]))
@@ -115,6 +116,25 @@ def test_string_lengths():
             down = _walked_lengths(family, lambda y: y.f(i))
             for x in family:
                 assert (up[x], down[x]) == (eps(x, i), phi(x, i)), (x, i)
+
+
+def test_codes_match_tensor_elements():
+    # criteria 1 and 2 check the code operators, not TensorElt; here the two
+    # meet on every criterion-1 family at n <= 2
+    checked = 0
+    for c, space in _axiom_families():
+        if c.n > 2:
+            continue
+        rows = [space.node(i) for i in c.nodes]
+        for x in space:
+            b = space.element(x)
+            assert space.weight(x) == b.clweight().lam
+            for i in c.nodes:
+                want = [b.e(i), b.f(i)]
+                want = b.stats(i) + tuple(None if y is None else space.code(y) for y in want)
+                assert rows[i](x) == want, (b, i)
+            checked += 1
+    assert checked > 10000
 
 
 def test_f_closure_examples():

@@ -392,3 +392,17 @@ def test_dark_from_json_rejects_a_factor_of_the_wrong_crystal():
     blob["elements"] = [["1", "2"]]  # "1" is in B^{1,1}, the first factor is B^{1,2}
     with pytest.raises(ValueError, match="is not in"):
         dark_from_json(blob)
+
+
+def test_dark_from_json_checks_the_factor_count_and_the_size():
+    blob = dark_to_json(build(make_spec(2, (2, 1), words=[(), ()])))
+    assert blob["elements"] == [["11", "2"]]
+    for elements, size, match in ((["11", "2", "3"], 99, "3 factors, not 2"),
+                                  (["11"], 1, "1 factors, not 2"),
+                                  (["11", "2"], 99, "size 99 but 1 distinct")):
+        blob["elements"], blob["size"] = [elements], size
+        with pytest.raises(ValueError, match=match):
+            dark_from_json(blob)
+    blob["elements"], blob["size"] = [["11", "2"], ["11", "2"]], 2
+    with pytest.raises(ValueError, match="size 2 but 1 distinct"):
+        dark_from_json(blob)
