@@ -130,9 +130,8 @@ def test_codes_match_tensor_elements():
             b = space.element(x)
             assert space.weight(x) == b.clweight().lam
             for i in c.nodes:
-                want = [b.e(i), b.f(i)]
-                want = b.stats(i) + tuple(None if y is None else space.code(y) for y in want)
-                assert rows[i](x) == want, (b, i)
+                moved = (None if y is None else space.code(y) for y in (b.e(i), b.f(i)))
+                assert rows[i](x) == b.stats(i) + tuple(moved), (b, i)
             checked += 1
     assert checked > 10000
 

@@ -14,8 +14,8 @@ from darkc.selftest import (CheckFailure, _axiom_families, _tensor_twists,
 
 
 def test_code_criteria_build_no_tensor_or_weight_objects(monkeypatch):
-    # at the parent of the code criteria, criterion 1 and the tensor part of
-    # criterion 2 built about 1.7M TensorElt and 876k ClWeight objects
+    # run on TensorElt objects, criterion 1 and the tensor part of criterion 2
+    # built about 1.7M TensorElt and 876k ClWeight objects
     for c, space in _axiom_families():  # tables keep their weights as ClWeights
         space.lams
         for i in c.nodes:
