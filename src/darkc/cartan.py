@@ -138,28 +138,13 @@ class ClWeight:
         object.__setattr__(self, "lam", tuple(map(int, self.lam)))
 
     @property
-    def m(self) -> int:
-        return len(self.lam)
-
-    @property
     def level(self) -> int:
         return sum(self.lam)
-
-    def coroot_pair(self, i: int) -> int:
-        return self.lam[i]
-
-    def __add__(self, other: "ClWeight") -> "ClWeight":
-        if len(self.lam) != len(other.lam):
-            raise ValueError("weights of different rank")
-        return ClWeight(tuple(map(add, self.lam, other.lam)))
 
     def __sub__(self, other: "ClWeight") -> "ClWeight":
         if len(self.lam) != len(other.lam):
             raise ValueError("weights of different rank")
         return ClWeight(tuple(map(sub, self.lam, other.lam)))
-
-    def __repr__(self):
-        return f"ClWeight({self.lam})"
 
 
 def zero_weight(c: CartanA) -> AffineWeight:

@@ -6,20 +6,22 @@ row first, rows left to right); the affine operators conjugate node 1 through
 Schuetzenberger promotion, which realizes the Dynkin rotation j -> j + 1.
 
 Each B^{r,s} is enumerated once into a KRTable, which interns its tableaux
-and holds the crystal structure as integer arrays over their indices.  The
-bracketing walks build the classical arrays, and promotion is read off those
-arrays (Shimozono, Affine type A crystal structure on tensor products of
-rectangles, 2002).  The jeu-de-taquin slides build nothing; they stay as
-oracles for the promotion arrays.
+and holds the crystal structure as integer arrays over their indices.  A row
+is its content and a rectangle is the tensor product of its rows (Shimozono,
+Affine type A crystal structure on tensor products of rectangles, 2002), so
+the table enumerates row contents and builds the classical arrays by the
+signature rule over rows; promotion is read off those arrays.  The walks on
+the reading word and the jeu-de-taquin slides build nothing; they stay as
+oracles for the classical and the promotion arrays.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
+from itertools import accumulate, chain, repeat
 
 from .cartan import CartanA, ClWeight
-from .crystal import CrystalElt, ModelConsistencyError, TensorElt
+from .crystal import CrystalElt, ModelConsistencyError, TensorElt, signature_rule
 
 _TABLES: dict = {}
 _CARTANS: dict = {}
@@ -38,7 +40,9 @@ class RectTableau(CrystalElt):
         rows = tuple(tuple(int(v) for v in row) for row in rows)
         _check_rows(cartan, rows)
         table = _table(cartan, len(rows), len(rows[0]))
-        return table.elements[table.index[rows]]
+        letters = range(1, cartan.m + 1)
+        key = tuple(row.count(v) for row in rows for v in letters)
+        return table.elements[table.index[key]]
 
     def __setattr__(self, name, value):
         raise AttributeError("RectTableau is immutable")
@@ -51,11 +55,8 @@ class RectTableau(CrystalElt):
         return self.table.shape
 
     def content(self) -> tuple[int, ...]:
-        counts = [0] * self.cartan.m
-        for row in self.rows:
-            for v in row:
-                counts[v - 1] += 1
-        return tuple(counts)
+        cs, m = self.table.contents[self.pos], self.cartan.m
+        return tuple(sum(cs[v::m]) for v in range(m))
 
     def clweight(self) -> ClWeight:
         return self.table.wt[self.pos]
@@ -105,35 +106,33 @@ def _check_rows(c: CartanA, rows) -> None:
                 raise ValueError(f"column {j} not strictly increasing")
 
 
-def _semistandard_rows(m: int, r: int, s: int) -> list:
-    """Every r x s semistandard rectangle over {1, ..., m} as a rows tuple,
-    in lexicographic order, filling cells in row-major order with an explicit
-    stack of positions (no recursion, so s is not bounded by the stack)."""
-    cells = r * s
-    grid = [0] * cells  # 0: the cell has no value yet
-    out = []
-    pos = 0
-    while pos >= 0:
-        if pos == cells:
-            out.append(tuple(tuple(grid[i * s:(i + 1) * s]) for i in range(r)))
-            pos -= 1
-            continue
-        if grid[pos]:
-            v = grid[pos] + 1
-        else:
-            i, j = divmod(pos, s)
-            v = 1
-            if j > 0:
-                v = max(v, grid[pos - 1])
-            if i > 0:
-                v = max(v, grid[pos - s] + 1)
-        if v > m:
-            grid[pos] = 0
-            pos -= 1
-        else:
-            grid[pos] = v
-            pos += 1
+def _contents(m: int, r: int, s: int) -> list:
+    """Every r x s semistandard rectangle over {1, ..., m} as its row
+    contents (letter counts per row), top row first, joined into one tuple
+    of r*m counts, in the lexicographic order of the rows (more 1s first,
+    then more 2s, ...).  Column strictness bounds a row's prefix sums by the
+    row above's, shifted by one letter; row a (from 0) uses letters up to
+    m - r + 1 + a, so every partial rectangle completes.  No loop runs over
+    cells, and none recurses."""
+
+    def rows(caps, top):
+        """Row contents over letters 1..top with prefix sums within caps."""
+        parts = [((), 0)]
+        for cap in caps[:top - 1]:
+            parts = [(c + (k,), t + k) for c, t in parts for k in range(cap - t, -1, -1)]
+        return [c + (s - t,) + (0,) * (m - top) for c, t in parts]
+
+    out = rows((s,) * m, m - r + 1)
+    for a in range(1, r):
+        out = [cs + c for cs in out
+               for c in rows(tuple(accumulate(cs[-m:], initial=0)), m - r + 1 + a)]
     return out
+
+
+def _rows(cs, m: int) -> tuple:
+    """The weakly increasing rows with the joined row contents cs."""
+    return tuple(tuple(chain.from_iterable(map(repeat, range(1, m + 1), cs[a:a + m])))
+                 for a in range(0, len(cs), m))
 
 
 def _unmatched(rows, i: int):
@@ -249,11 +248,12 @@ class _ByNode(dict):
 
 class KRTable:
     """B^{r,s} enumerated once.  `elements` holds the interned tableaux in
-    canonical order and `index` maps rows to their position.  The arrays over
+    canonical order, `contents` their joined row contents (top row first,
+    see _contents) and `index` maps those to their position.  The arrays over
     positions are built on first use:
 
     - cl_e[i][k], cl_f[i][k]: for classical i, the position of e_i / f_i of
-      element k, or -1, each from its own bracketing rule;
+      element k, or -1, both from one signature rule over its rows;
     - pr, pr_inv: promotion and its inverse as permutations, from cl_e and
       cl_f alone (no slides);
     - e[i][k], f[i][k]: cl_e / cl_f plus node 0 as pr_inv o (node 1) o pr;
@@ -266,9 +266,10 @@ class KRTable:
         self.cartan = c
         self.shape = (r, s)
         self.name = f"B^{{{r},{s}}}"
-        self.elements = tuple(self._intern(rows, k)
-                              for k, rows in enumerate(_semistandard_rows(c.m, r, s)))
-        self.index = {T.rows: k for k, T in enumerate(self.elements)}
+        self.contents = _contents(c.m, r, s)
+        self.index = {cs: k for k, cs in enumerate(self.contents)}
+        self.elements = tuple(self._intern(_rows(cs, c.m), k)
+                              for k, cs in enumerate(self.contents))
 
     def _intern(self, rows, k) -> RectTableau:
         T = object.__new__(RectTableau)
@@ -276,12 +277,6 @@ class KRTable:
                             ("table", self), ("pos", k)):
             object.__setattr__(T, name, value)
         return T
-
-    def _position(self, rows) -> int:
-        k = self.index.get(rows)
-        if k is None:
-            raise ModelConsistencyError(f"a classical arrow left {self.name}")
-        return k
 
     @cached_property
     def wt(self) -> list[ClWeight]:
@@ -300,12 +295,12 @@ class KRTable:
         sends the first head with k entries n+1 to the second with k entries 1
         and carries f_i to f_{i+1}, so it is fixed on the heads and follows
         the arrows from there.  Anything else is a ModelConsistencyError."""
-        n, m, s = self.cartan.n, self.cartan.m, self.shape[1]
+        n = self.cartan.n
         f = self.cl_f
         size = len(self.elements)
-        # rows are weakly increasing: entries n+1 end the bottom row, 1s start the top
-        lows = self._heads(range(1, n), lambda rows: s - bisect_left(rows[-1], m))
-        highs = self._heads(range(2, n + 1), lambda rows: bisect_right(rows[0], 1))
+        # entries n+1 lie in the bottom row only, 1s in the top row only
+        lows = self._heads(range(1, n), lambda cs: cs[-1])
+        highs = self._heads(range(2, n + 1), lambda cs: cs[0])
         if lows.keys() != highs.keys():
             raise ModelConsistencyError(f"promotion heads of {self.name} do not pair up")
         pr = [-1] * size
@@ -336,12 +331,12 @@ class KRTable:
 
     def _heads(self, nodes, count) -> dict[int, int]:
         """The elements killed by e_i for every i in nodes, keyed by count of
-        their rows; two heads with one key are a ModelConsistencyError."""
+        their row contents; two heads with one key are a ModelConsistencyError."""
         e = self.cl_e
         heads = {}
-        for b, T in enumerate(self.elements):
+        for b, cs in enumerate(self.contents):
             if all(e[i][b] < 0 for i in nodes):
-                key = count(T.rows)
+                key = count(cs)
                 if key in heads:
                     raise ModelConsistencyError(f"two promotion heads of {self.name} share {key}")
                 heads[key] = b
@@ -362,18 +357,37 @@ class KRTable:
             powers.append([self.pr[j] for j in powers[-1]])
         return powers
 
-    def _classical(self, move) -> _ByNode:
-        return _ByNode((i, [-1 if rows is None else self._position(rows)
-                            for rows in (move(T.rows, i) for T in self.elements)])
-                       for i in self.cartan.classical_nodes)
-
     @cached_property
-    def cl_e(self) -> _ByNode:
-        return self._classical(_raised)
+    def _classical(self) -> tuple[_ByNode, _ByNode]:
+        """cl_e and cl_f by one signature rule per element and node.  The
+        rows go in top row first (the reading word backwards), each as the
+        pair (#(i+1), #i) of its eps_i and phi_i.  e_i turns one i+1 of the
+        chosen row into i, f_i one i into i+1, and the moved content is
+        looked up in `index`."""
+        m = self.cartan.m
+        starts = range(0, self.shape[0] * m, m)
+        e, f = _ByNode(), _ByNode()
+        for i in self.cartan.classical_nodes:
+            e[i], f[i] = up_i, down_i = [], []
+            for cs in self.contents:
+                _, _, up, down = signature_rule([(cs[a + i], cs[a + i - 1]) for a in starts])
+                up_i.append(-1 if up is None else self._moved(cs, up * m + i - 1, 1))
+                down_i.append(-1 if down is None else self._moved(cs, down * m + i - 1, -1))
+        return e, f
 
-    @cached_property
-    def cl_f(self) -> _ByNode:
-        return self._classical(_lowered)
+    def _moved(self, cs, j: int, d: int) -> int:
+        """The position of the contents cs after d counts move from index
+        j + 1 to index j; e_i (d = 1) and f_i (d = -1) of row a use j = a*m + i - 1."""
+        moved = list(cs)
+        moved[j] += d
+        moved[j + 1] -= d
+        k = self.index.get(tuple(moved))
+        if k is None:
+            raise ModelConsistencyError(f"a classical arrow left {self.name}")
+        return k
+
+    cl_e = property(lambda self: self._classical[0])
+    cl_f = property(lambda self: self._classical[1])
 
     def _affine(self, classical: _ByNode) -> _ByNode:
         """The classical arrays plus node 0 as pr_inv o (node 1) o pr."""

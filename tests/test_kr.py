@@ -1,5 +1,5 @@
 import sys
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -236,7 +236,8 @@ def test_table_arrays_match_walks_on_tableaux(n):
         assert list(elements) == sorted(elements, key=lambda T: T.sort_key())
         table = elements[0].table
         for k, T in enumerate(elements):
-            assert T.table is table and T.pos == k and table.index[T.rows] == k
+            counts = tuple(row.count(v) for row in T.rows for v in range(1, c.m + 1))
+            assert T.table is table and T.pos == k and table.index[counts] == k
             content = T.content()
             assert table.wt[k].lam == tuple(content[i - 1] - content[i % c.m]
                                             for i in range(c.m))
@@ -302,6 +303,60 @@ def test_promotion_arrays_need_no_slides(monkeypatch):
     for i in c.nodes:
         assert table.e[i] == want.e[i] and table.f[i] == want.f[i]
         assert table.stats[i] == want.stats[i]
+
+
+def test_generate_rows_match_combinations():
+    for n in (1, 2, 3):
+        c = CartanA(n)
+        for s in range(61) if n < 3 else (*range(21), 60):
+            # fresh tables above s = 20 keep the interned tables small
+            elements = generate(c, 1, s) if s <= 20 else kr.KRTable(c, 1, s).elements
+            want = list(combinations_with_replacement(range(1, c.m + 1), s))
+            assert [T.rows[0] for T in elements] == want
+            assert len(want) == _rectangle_size(c.m, 1, s)
+
+
+def test_generate_rectangles_match_filtered_row_products():
+    for n in (2, 3, 4):
+        c = CartanA(n)
+        for r in range(2, n + 1):
+            for s in range(4 if n < 4 else 3):
+                rows = list(combinations_with_replacement(range(1, c.m + 1), s))
+                want = [rect for rect in product(rows, repeat=r)
+                        if all(a < b for upper, lower in zip(rect, rect[1:])
+                               for a, b in zip(upper, lower))]
+                assert [T.rows for T in generate(c, r, s)] == want
+                assert len(want) == _rectangle_size(c.m, r, s)
+
+
+def test_content_is_a_count_of_the_entries():
+    for n in range(1, 5):
+        c = CartanA(n)
+        for r, s in single_shapes(n):
+            for T in generate(c, r, s):
+                cells = [v for row in T.rows for v in row]
+                assert T.content() == tuple(cells.count(v) for v in range(1, c.m + 1))
+
+
+@pytest.mark.parametrize("n, r, s", [(1, 1, 300), (2, 1, 40)]
+                         + [(3, r, s) for r in (1, 2, 3) for s in range(7)]
+                         + [(4, 2, 4)])
+def test_classical_arrays_match_walks_beyond_the_grid(n, r, s):
+    c = CartanA(n)
+    elements = generate(c, r, s)
+    table = elements[0].table
+    for i in c.classical_nodes:
+        for k, T in enumerate(elements):
+            for arrays, walk in ((table.cl_e, classical_e), (table.cl_f, classical_f)):
+                moved = walk(i, T)
+                assert arrays[i][k] == (-1 if moved is None else moved.pos)
+    fresh = kr.KRTable(c, r, s)
+    if len(fresh.contents) > 1:
+        # the last element, all letters as large as they go, lies below another
+        del fresh.index[fresh.contents[-1]]
+        with pytest.raises(ModelConsistencyError,
+                           match=rf"a classical arrow left B\^\{{{r},{s}\}}"):
+            fresh.cl_f
 
 
 def test_find_b_rs_on_a_long_row_needs_no_deep_stack():

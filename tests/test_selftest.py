@@ -38,7 +38,7 @@ def test_a_broken_arrow_fails_both_code_criteria(monkeypatch):
     table = generate(CartanA(2), 1, 2)[0].table
     table.stats, table.pr_powers, table.wt  # built from the intact arrows
     broken = list(table.f[1])
-    broken[table.index[((1, 1),)]] = table.index[((1, 3),)]
+    broken[table.index[(2, 0, 0)]] = table.index[(1, 0, 1)]  # row contents
     monkeypatch.setitem(table.f, 1, broken)
     with pytest.raises(CheckFailure, match=r"e_i f_i != id at TensorElt.*'11'.*i=1"):
         criterion_axioms()
