@@ -159,7 +159,7 @@ def delta_weight(c: CartanA) -> AffineWeight:
     """The null root delta = (0, ..., 0; 1), with numerator d = 2m."""
     return _vec((0,) * c.m + (2 * c.m,))
 
-@lru_cache(maxsize=None)
+
 @lru_cache(maxsize=None)
 def cl_simple_root(c: CartanA, i: int) -> ClWeight:
     """cl(alpha_i): the delta coefficient is dropped."""

@@ -36,8 +36,8 @@ from .charring import CharPoly, fit_delta_shift, rhs_formula
 from .crystal import ModelConsistencyError, TensorElt, signature_rule
 from .energy import total_D
 from .kr import find_b_rs, generate
-from .weyl import (all_reduced_words, bruhat_leq, from_word,
-                   kr_translation_data, length)
+from .weyl import (all_reduced_words, bruhat_lower_interval, from_reduced_word,
+                   from_word, kr_translation_data)
 
 
 @dataclass(frozen=True)
@@ -112,14 +112,12 @@ def validate(spec: DarkSpec) -> None:
             c.check_node(i)
         if any(i == 0 for i in fw.prefix):
             raise ValueError(f"factor {j}: classical prefix contains node 0")
-        v = from_word(c.m, fw.prefix)
-        if length(v) != len(fw.prefix):
+        if from_reduced_word(c.m, fw.prefix) is None:
             raise ValueError(f"factor {j}: prefix {fw.prefix} is not reduced")
-        w = from_word(c.m, fw.word)
-        if length(w) != len(fw.word):
+        w = from_reduced_word(c.m, fw.word)
+        if w is None:
             raise ValueError(f"factor {j}: word {fw.word} is not reduced")
-        y, _ = kr_translation_data(c, rj)
-        if not bruhat_leq(w, y):
+        if w not in bruhat_lower_interval(kr_translation_data(c, rj)[0]):
             raise ValueError(
                 f"factor {j}: word {fw.word} is not below y_{rj} in Bruhat order")
 

@@ -73,16 +73,28 @@ def identity(m: int) -> ExtAffPerm:
     return ExtAffPerm(tuple(range(1, m + 1)))
 
 
+def _times_simple(win: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The window of w * s_i from the window of w: swap f(i) and f(i+1), where
+    f(0) = f(m) - m and f(m + 1) = f(1) + m."""
+    if i:
+        return win[:i - 1] + (win[i], win[i - 1]) + win[i + 1:]
+    m = len(win)
+    return (win[-1] - m,) + win[1:-1] + (win[0] + m,)
+
+
+def _descent(win: tuple[int, ...], i: int) -> bool:
+    """w * s_i < w, read off the window of w as f(i) > f(i+1), f(0) = f(m) - m
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, 8.3)."""
+    return win[i - 1] - (0 if i else len(win)) > win[i]
+
+
+def _descents(win: tuple[int, ...]) -> list[int]:
+    return [i for i in range(len(win)) if _descent(win, i)]
+
+
 def simple(m: int, i: int) -> ExtAffPerm:
     """The simple reflection s_i, swapping residue classes i and i+1 (mod m)."""
-    if not 0 <= i < m:
-        raise IndexError(f"node {i} out of range for m = {m}")
-    win = list(range(1, m + 1))
-    if i == 0:
-        win[0], win[m - 1] = 0, m + 1
-    else:
-        win[i - 1], win[i] = i + 1, i
-    return ExtAffPerm(tuple(win))
+    return from_word(m, (i,))
 
 
 def rot(m: int, k: int = 1) -> ExtAffPerm:
@@ -98,11 +110,27 @@ def translation(c: CartanA, a) -> ExtAffPerm:
     return ExtAffPerm(tuple(i + c.m * a[i - 1] for i in range(1, c.m + 1)))
 
 
-def from_word(m: int, letters) -> ExtAffPerm:
-    w = identity(m)
+def _word_window(m: int, letters) -> tuple[tuple[int, ...], bool]:
+    """The window of the product of the letters, and whether the word is
+    reduced: it is exactly when every letter is a right ascent of the product
+    of the letters before it."""
+    win, reduced = identity(m).win, True
     for i in letters:
-        w = w * simple(m, i)
-    return w
+        if not 0 <= i < m:
+            raise IndexError(f"node {i} out of range for m = {m}")
+        reduced = reduced and not _descent(win, i)
+        win = _times_simple(win, i)
+    return win, reduced
+
+
+def from_word(m: int, letters) -> ExtAffPerm:
+    return ExtAffPerm(_word_window(m, letters)[0])
+
+
+def from_reduced_word(m: int, letters) -> ExtAffPerm | None:
+    """The product of the letters when the word is reduced, else None."""
+    win, reduced = _word_window(m, letters)
+    return ExtAffPerm(win) if reduced else None
 
 
 def length(w: ExtAffPerm) -> int:
@@ -148,25 +176,18 @@ def factor_sigma(w: ExtAffPerm) -> tuple[ExtAffPerm, int]:
 
 
 def left_descents(w: ExtAffPerm) -> list[int]:
-    l = length(w)
-    return [i for i in range(w.m) if length(simple(w.m, i) * w) < l]
+    """The i with s_i * w < w: the descents of the inverse window."""
+    return _descents(w.inverse().win)
 
 
 def reduced_word(w: ExtAffPerm) -> tuple[int, ...]:
-    """One reduced word, by greedy left-descent removal (smallest node first)."""
-    w = reduce_to_weyl(w)
+    """One reduced word, by greedy left-descent removal (smallest node first),
+    run on the inverse window: s_i * w has the inverse window of w^-1 * s_i."""
+    inv = reduce_to_weyl(w).inverse().win
     letters = []
-    l = length(w)
-    while l > 0:
-        for i in range(w.m):
-            cand = simple(w.m, i) * w
-            lc = length(cand)
-            if lc < l:
-                letters.append(i)
-                w, l = cand, lc
-                break
-        else:
-            raise AssertionError("no descent on an element of positive length")
+    while descents := _descents(inv):
+        letters.append(descents[0])
+        inv = _times_simple(inv, descents[0])
     return tuple(letters)
 
 
@@ -177,37 +198,21 @@ def all_reduced_words(w: ExtAffPerm, cap: int = 10) -> frozenset[tuple[int, ...]
         raise ValueError(f"length {length(w)} exceeds cap {cap}")
     memo: dict[tuple[int, ...], frozenset] = {}
 
-    def rec(u: ExtAffPerm) -> frozenset:
-        if u.win in memo:
-            return memo[u.win]
-        if length(u) == 0:
-            res = frozenset({()})
-        else:
-            res = frozenset(
-                (i,) + tail
-                for i in left_descents(u)
-                for tail in rec(simple(u.m, i) * u)
-            )
-        memo[u.win] = res
-        return res
+    def rec(inv: tuple[int, ...]) -> frozenset:
+        if inv not in memo:
+            words = {(i,) + tail for i in _descents(inv) for tail in rec(_times_simple(inv, i))}
+            memo[inv] = frozenset(words or {()})  # no descent: the identity
+        return memo[inv]
 
-    return rec(w)
+    return rec(w.inverse().win)
 
 
 @lru_cache(maxsize=None)
 def _lower_interval(win: tuple[int, ...]) -> frozenset[ExtAffPerm]:
-    y = ExtAffPerm(win)
-    word = reduced_word(y)
-    elems = {identity(y.m)}
-    for i in word:
-        si = simple(y.m, i)
-        grow = set()
-        for u in elems:
-            v = u * si
-            if length(v) > length(u):
-                grow.add(v)
-        elems |= grow
-    return frozenset(elems)
+    elems = {identity(len(win)).win}
+    for i in reduced_word(ExtAffPerm(win)):
+        elems |= {_times_simple(u, i) for u in elems if not _descent(u, i)}
+    return frozenset(map(ExtAffPerm, elems))
 
 
 def bruhat_lower_interval(y: ExtAffPerm) -> frozenset[ExtAffPerm]:
@@ -224,15 +229,11 @@ def bruhat_leq(w: ExtAffPerm, y: ExtAffPerm) -> bool:
 
 
 def kr_translation_data(c: CartanA, r: int) -> tuple[ExtAffPerm, int]:
-    """(y_r, tau_r) from the translation by the longest-element image of the
-    r-th level-zero fundamental weight (integer lift: 1 in the last r slots).
-
-    The sign of the lift is pinned by two requirements checked in the tests:
-    tau_1 is the rotation j -> j + 1, and the closure of {b^{r,s}} under the
-    lowering operators along y_r fills all of B^{r,s}.
-    """
+    """(y_r, tau_r): factor_sigma of the translation by the longest-element
+    image of the r-th level-zero fundamental weight (integer lift: 1 in the
+    last r slots), in closed form: y_r has the window (m-r+1, ..., m, 1, ...,
+    m-r) and tau_r = r.  The tests check it against factor_sigma, and pin the
+    sign of the lift: tau_1 is the rotation j -> j + 1, and the closure of
+    {b^{r,s}} along y_r fills all of B^{r,s}."""
     c.check_classical(r)
-    a = [0] * c.m
-    for j in range(c.m - r, c.m):
-        a[j] = 1
-    return factor_sigma(translation(c, tuple(a)))
+    return ExtAffPerm(tuple(range(c.m - r + 1, c.m + 1)) + tuple(range(1, c.m - r + 1))), r

@@ -118,6 +118,15 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("w, message", [
+    ("1 1 |", "factor 0: prefix (1, 1) is not reduced"),
+    ("0", "factor 0: word (0,) is not below y_1 in Bruhat order"),
+])
+def test_invalid_words_exit_2_with_the_validation_message(capsys, w, message):
+    code, out, err = run_main(capsys, "verify", "--n", "2", "--lambda", "1", "--w", w)
+    assert (code, out, err) == (2, "", f"darkc: error: {message}\n")
+
+
 @pytest.mark.parametrize("error", [ModelConsistencyError, RecursionError, MemoryError])
 def test_internal_errors_exit_3(monkeypatch, capsys, error):
     def broken(c, r, s):

@@ -57,16 +57,21 @@ def test_build_monotone_in_each_word():
 
 
 def test_build_rejects_bad_specs():
-    with pytest.raises(ValueError):
-        build(make_spec(2, (1, 2)))  # lambda increasing
-    with pytest.raises(ValueError):
-        build(make_spec(2, (1,), words=[(1, 2, 1)]))  # not below y_1
-    with pytest.raises(ValueError):
-        build(make_spec(2, (1,), words=[(1, 1)]))  # word not reduced
-    with pytest.raises(ValueError):
-        build(make_spec(2, (1,), words=[((0,), ())]))  # affine letter in prefix
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match=r"^lambda must be weakly decreasing and nonnegative$"):
+        build(make_spec(2, (1, 2)))
+    with pytest.raises(ValueError, match=r"^factor 0: word \(1, 2, 1\) is not below y_1 in Bruhat order$"):
+        build(make_spec(2, (1,), words=[(1, 2, 1)]))
+    with pytest.raises(ValueError, match=r"^factor 0: word \(1, 1\) is not reduced$"):
+        build(make_spec(2, (1,), words=[(1, 1)]))
+    with pytest.raises(ValueError, match=r"^factor 0: classical prefix contains node 0$"):
+        build(make_spec(2, (1,), words=[((0,), ())]))
+    with pytest.raises(IndexError, match=r"^classical node 2 out of range for rank 1$"):
         build(make_spec(1, (1,), r=(2,)))
+    with pytest.raises(ValueError, match=r"^factor 0: prefix \(1, 1\) is not reduced$"):
+        build(make_spec(2, (1,), words=[((1, 1), ())]))
+    # y_r is classical, so a reduced word holding 0 is never below it
+    with pytest.raises(ValueError, match=r"^factor 1: word \(0,\) is not below y_2 in Bruhat order$"):
+        build(make_spec(2, (1, 1), r=(1, 2), words=[(), (0,)]))
 
 
 def test_prefixed_words_allow_whole_classical_group():

@@ -1,12 +1,14 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from darkc.cartan import CartanA
+from darkc.dark import make_spec, validate
 from darkc.weyl import (ExtAffPerm, all_reduced_words, bruhat_leq,
                         bruhat_lower_interval, eq_mod_center, factor_sigma,
-                        from_word, identity, kr_translation_data, length,
+                        from_reduced_word, from_word, identity,
+                        kr_translation_data, left_descents, length,
                         reduced_word, reduce_to_weyl, rot, simple, translation)
 
 
@@ -133,6 +135,69 @@ def test_kr_translation_data_general_shape(n):
         assert length(y) == r * (c.m - r)
     with pytest.raises(IndexError):
         kr_translation_data(c, n + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kr_translation_data_is_the_factored_translation(n):
+    # the closed form against factor_sigma, which asserts its recomposition
+    c = CartanA(n)
+    for r in range(1, n + 1):
+        a = (0,) * (c.m - r) + (1,) * r
+        assert kr_translation_data(c, r) == factor_sigma(translation(c, a))
+
+
+def _length_descents(w):
+    return [i for i in range(w.m) if length(simple(w.m, i) * w) < length(w)]
+
+
+def _length_reduced_word(w):
+    letters = []
+    while length(w) > 0:
+        i = _length_descents(w)[0]
+        letters.append(i)
+        w = simple(w.m, i) * w
+    return tuple(letters)
+
+
+def _length_reduced_words(w):
+    if length(w) == 0:
+        return {()}
+    return {(i,) + tail for i in _length_descents(w)
+            for tail in _length_reduced_words(simple(w.m, i) * w)}
+
+
+def _subword_products(y):
+    word = reduced_word(y)
+    return {from_word(y.m, [word[k] for k in ks])
+            for size in range(len(word) + 1) for ks in combinations(range(len(word)), size)}
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_window_descents_match_the_length_definitions(m):
+    rng = random.Random(100 + m)
+    c = CartanA(m - 1)
+    for _ in range(40):
+        word = tuple(rng.randrange(m) for _ in range(rng.randint(0, 9)))
+        w = from_word(m, word)
+        assert left_descents(w) == _length_descents(w)
+        assert reduced_word(w) == _length_reduced_word(w)
+        if length(w) <= 6:
+            assert all_reduced_words(w) == _length_reduced_words(w)
+        reduced = length(w) == len(word)
+        assert (from_reduced_word(m, word) == w) if reduced else from_reduced_word(m, word) is None
+        classical = tuple(i for i in word if i)
+        spec = make_spec(m - 1, (1,), words=[(classical, ())])
+        if length(from_word(m, classical)) == len(classical):
+            validate(spec)
+        else:
+            with pytest.raises(ValueError, match="is not reduced"):
+                validate(spec)
+    for r in range(1, m):
+        y = kr_translation_data(c, r)[0]
+        assert bruhat_lower_interval(y) == _subword_products(y)
+    for _ in range(5):
+        y = reduce_to_weyl(from_word(m, [rng.randrange(m) for _ in range(rng.randint(0, 7))]))
+        assert bruhat_lower_interval(y) == _subword_products(y)
 
 
 def test_reduced_word_round_trip():
