@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import combinations, permutations
+from operator import mul
 
 import pytest
 
@@ -146,6 +148,15 @@ def test_kr_translation_data_is_the_factored_translation(n):
         assert kr_translation_data(c, r) == factor_sigma(translation(c, a))
 
 
+def _literal_simple(m, i):
+    win = list(range(1, m + 1))
+    if i == 0:
+        win[0], win[m - 1] = 0, m + 1
+    else:
+        win[i - 1], win[i] = i + 1, i
+    return ExtAffPerm(tuple(win))
+
+
 def _length_descents(w):
     return [i for i in range(w.m) if length(simple(w.m, i) * w) < length(w)]
 
@@ -167,7 +178,7 @@ def _length_reduced_words(w):
 
 
 def _subword_products(y):
-    word = reduced_word(y)
+    word = _length_reduced_word(y)
     return {from_word(y.m, [word[k] for k in ks])
             for size in range(len(word) + 1) for ks in combinations(range(len(word)), size)}
 
@@ -179,6 +190,7 @@ def test_window_descents_match_the_length_definitions(m):
     for _ in range(40):
         word = tuple(rng.randrange(m) for _ in range(rng.randint(0, 9)))
         w = from_word(m, word)
+        assert w == reduce(mul, (_literal_simple(m, i) for i in word), identity(m))
         assert left_descents(w) == _length_descents(w)
         assert reduced_word(w) == _length_reduced_word(w)
         if length(w) <= 6:
