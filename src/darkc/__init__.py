@@ -1,8 +1,8 @@
 """Exact-arithmetic DARK crystals in affine type A: Kirillov-Reshetikhin
 tensor products, Demazure closures, energy, and the character identity."""
 
-from .cartan import (AffineWeight, CartanA, ClWeight, aff_level_zero, d_pair,
-                     reflect, rotate, simple_root)
+from .cartan import (AffineWeight, CartanA, aff_level_zero, d_pair, reflect, rotate,
+                     simple_root)
 from .charring import CharPoly, demazure_op, demazure_word, rhs_formula, sigma_act
 from .crystal import ModelConsistencyError, TensorElt, demazure_closure, f_closure
 from .dark import (DarkSet, DarkSpec, FactorWord, build, lhs_character,
@@ -12,7 +12,7 @@ from .kr import RectTableau, find_b_rs, generate, promotion, twist
 from .weyl import ExtAffPerm, bruhat_leq, factor_sigma, kr_translation_data
 
 __all__ = [
-    "AffineWeight", "CartanA", "CharPoly", "ClWeight", "DarkSet", "DarkSpec",
+    "AffineWeight", "CartanA", "CharPoly", "DarkSet", "DarkSpec",
     "ExtAffPerm", "FactorWord", "ModelConsistencyError", "RectTableau",
     "TensorElt", "aff_level_zero", "bruhat_leq", "build", "comb_R", "d_pair",
     "demazure_closure", "demazure_op", "demazure_word", "f_closure",

@@ -2,8 +2,9 @@
 
 Weights are integer vectors in the basis {Lambda_0, ..., Lambda_n, delta}: the
 Lambda coefficients, then the delta coefficient as a numerator over the fixed
-denominator 2m.  All arithmetic is exact; nothing in this package touches
-floating point.
+denominator 2m.  A classical weight is the plain int tuple of the m Lambda
+coefficients of cl(Lambda_0), ..., cl(Lambda_n).  All arithmetic is exact;
+nothing in this package touches floating point.
 """
 
 from __future__ import annotations
@@ -128,25 +129,6 @@ class AffineWeight(tuple):
 _vec = partial(tuple.__new__, AffineWeight)
 
 
-@dataclass(frozen=True, slots=True)
-class ClWeight:
-    """Classical weight: integer coefficients of cl(Lambda_0), ..., cl(Lambda_n)."""
-
-    lam: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(map(int, self.lam)))
-
-    @property
-    def level(self) -> int:
-        return sum(self.lam)
-
-    def __sub__(self, other: "ClWeight") -> "ClWeight":
-        if len(self.lam) != len(other.lam):
-            raise ValueError("weights of different rank")
-        return ClWeight(tuple(map(sub, self.lam, other.lam)))
-
-
 def zero_weight(c: CartanA) -> AffineWeight:
     return _vec((0,) * (c.m + 1))
 
@@ -161,18 +143,16 @@ def delta_weight(c: CartanA) -> AffineWeight:
 
 
 @lru_cache(maxsize=None)
-def cl_simple_root(c: CartanA, i: int) -> ClWeight:
-    """cl(alpha_i): the delta coefficient is dropped."""
-    c.check_node(i)
-    return ClWeight(tuple(c.a(j, i) for j in range(c.m)))
-
-
-@lru_cache(maxsize=None)
 def simple_root(c: CartanA, i: int) -> AffineWeight:
     """alpha_i.  Lambda coefficients are the i-th Cartan column; the delta
     coefficient is the uniform 1/m (d = 2), so that sum_i alpha_i = delta."""
     c.check_node(i)
     return _vec([c.a(j, i) for j in range(c.m)] + [2])
+
+
+def cl_simple_root(c: CartanA, i: int) -> tuple[int, ...]:
+    """cl(alpha_i): the delta coefficient is dropped."""
+    return simple_root(c, i).lam
 
 
 def reflect(c: CartanA, i: int, mu: AffineWeight) -> AffineWeight:
@@ -184,11 +164,11 @@ def reflect(c: CartanA, i: int, mu: AffineWeight) -> AffineWeight:
 def rotate(c: CartanA, k: int, mu):
     """Dynkin rotation j -> j + k (mod m) on Lambda coefficients; fixes delta.
 
-    Accepts either an AffineWeight or a ClWeight.
+    Accepts an AffineWeight (m + 1 entries) or a classical weight (m entries).
     """
     cut = c.m - k % c.m
-    if isinstance(mu, ClWeight):
-        return ClWeight(mu.lam[cut:] + mu.lam[:cut])
+    if len(mu) == c.m:
+        return mu[cut:] + mu[:cut]
     return _vec(mu[cut:-1] + mu[:cut] + mu[-1:])
 
 
@@ -208,11 +188,13 @@ def d_pair(c: CartanA, mu: AffineWeight) -> Fraction:
     return Fraction(mu[-1] - sum(map(mul, mu.lam, c.d_numerators)), 2 * c.m)
 
 
-def aff_level_zero(c: CartanA, mu: ClWeight) -> AffineWeight:
-    """Section of cl on level-zero weights, normalized by <d, aff(mu)> = 0."""
-    if mu.level != 0:
-        raise ValueError(f"aff is only defined on level-zero weights, level = {mu.level}")
-    return _vec(mu.lam + (sum(map(mul, mu.lam, c.d_numerators)),))
+def aff_level_zero(c: CartanA, mu: tuple[int, ...]) -> AffineWeight:
+    """Section of cl on level-zero classical weights, normalized by
+    <d, aff(mu)> = 0."""
+    level = sum(mu)
+    if level != 0:
+        raise ValueError(f"aff is only defined on level-zero weights, level = {level}")
+    return _vec(mu + (sum(map(mul, mu, c.d_numerators)),))
 
 
 def weight_to_json(mu: AffineWeight) -> dict:

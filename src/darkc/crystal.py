@@ -9,8 +9,6 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add
 
-from .cartan import ClWeight
-
 
 class ModelConsistencyError(RuntimeError):
     """The combinatorial model produced contradictory data (a bug, not bad input)."""
@@ -19,7 +17,8 @@ class ModelConsistencyError(RuntimeError):
 class CrystalElt:
     """Interface for crystal elements.  Implementations are immutable and
     hashable, expose their Cartan datum as `cartan`, and provide the
-    raising/lowering operators, the string lengths and a classical weight.
+    raising/lowering operators, the string lengths and a classical weight,
+    the int tuple of its Lambda coefficients.
     They are kr.RectTableau, an element of an enumerated KR crystal, and
     TensorElt."""
 
@@ -35,7 +34,7 @@ class CrystalElt:
         """(eps_i, phi_i): how many times e_i and f_i apply."""
         raise NotImplementedError
 
-    def clweight(self) -> ClWeight:
+    def clweight(self) -> tuple[int, ...]:
         raise NotImplementedError
 
     def sort_key(self):
@@ -148,11 +147,11 @@ class TensorElt(CrystalElt):
             raise ModelConsistencyError("tensor rule chose a dead factor for f")
         return TensorElt(self.factors[:idx] + (b,) + self.factors[idx + 1:])
 
-    def clweight(self) -> ClWeight:
-        lam = self.factors[0].clweight().lam
+    def clweight(self) -> tuple[int, ...]:
+        w = self.factors[0].clweight()
         for b in self.factors[1:]:
-            lam = tuple(map(add, lam, b.clweight().lam))
-        return ClWeight(lam)
+            w = tuple(map(add, w, b.clweight()))
+        return w
 
     def sort_key(self):
         return tuple(b.sort_key() for b in self.factors)

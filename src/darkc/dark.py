@@ -31,7 +31,7 @@ from functools import cached_property
 from itertools import product
 from operator import add, getitem
 
-from .cartan import CartanA, ClWeight, aff_level_zero, delta_weight, fundamental_weight
+from .cartan import CartanA, aff_level_zero, delta_weight, fundamental_weight
 from .charring import CharPoly, fit_delta_shift, rhs_formula
 from .crystal import ModelConsistencyError, TensorElt, signature_rule
 from .energy import total_D
@@ -166,17 +166,12 @@ class Codes:
         downs = [t.f[i] for t in self.tables]
         return lambda x: _move(x, signature_rule(map(getitem, stats, x))[3], downs, "f")
 
-    @cached_property
-    def lams(self) -> list[list[tuple[int, ...]]]:
-        """The tables' wt arrays as int tuples."""
-        return [[w.lam for w in t.wt] for t in self.tables]
-
     def weight(self, x) -> tuple[int, ...]:
-        """The classical weight of a nonempty code x as an int tuple."""
-        lams = map(getitem, self.lams, x)
-        w = next(lams)
-        for lam in lams:
-            w = tuple(map(add, w, lam))
+        """The classical weight of a nonempty code x, read off the tables' wt."""
+        wts = map(getitem, [t.wt for t in self.tables], x)
+        w = next(wts)
+        for v in wts:
+            w = tuple(map(add, w, v))
         return w
 
     def element(self, x) -> TensorElt:
@@ -236,8 +231,7 @@ def build(spec: DarkSpec) -> DarkSet:
     energies = {(): None}  # the one element of the empty tensor product
     for j in range(spec.p - 1, -1, -1):
         space = Codes(tables[j:])
-        tau = kr_translation_data(c, spec.r[j])[1]
-        twist = [t.pr_powers[tau % c.m] for t in tables[j + 1:]]
+        twist = [t.pr_powers[spec.r[j] % c.m] for t in tables[j + 1:]]  # tau_r = r
         walk = (lambda x: total_D(space.element(x))) if j == 0 else (lambda x: None)
         seeds = ((dist[j].pos,) + tuple(map(getitem, twist, x)) for x in energies)
         energies = _close(space, spec.words[j].letters, {y: walk(y) for y in seeds}, walk)
@@ -271,14 +265,13 @@ def lhs_character(spec: DarkSpec, dark: DarkSet) -> CharPoly:
     base = spec.lam[0] * fundamental_weight(c, 0)
     counts = Counter(zip(map(dark.product.weight, dark.energies), dark.energies.values()))
     delta = delta_weight(c)
-    return CharPoly({base + aff_level_zero(c, ClWeight(wt)) - d * delta: k
+    return CharPoly({base + aff_level_zero(c, wt) - d * delta: k
                      for (wt, d), k in counts.items()})
 
 
 def rhs_character(spec: DarkSpec) -> CharPoly:
-    c = spec.cartan
-    taus = tuple(kr_translation_data(c, rj)[1] for rj in spec.r)
-    return rhs_formula(c, spec.lam, tuple(fw.letters for fw in spec.words), taus)
+    # tau_r = r, the rotation of weyl.kr_translation_data
+    return rhs_formula(spec.cartan, spec.lam, tuple(fw.letters for fw in spec.words), spec.r)
 
 
 def verify(spec: DarkSpec) -> tuple[bool, Fraction | None]:

@@ -10,17 +10,19 @@ and holds the crystal structure as integer arrays over their indices.  A row
 is its content and a rectangle is the tensor product of its rows (Shimozono,
 Affine type A crystal structure on tensor products of rectangles, 2002), so
 the table enumerates row contents and builds the classical arrays by the
-signature rule over rows; promotion is read off those arrays.  The walks on
-the reading word and the jeu-de-taquin slides build nothing; they stay as
-oracles for the classical and the promotion arrays.
+signature rule over rows; promotion is read off those arrays.  A tableau is
+its position in the table, and its rows are built from its contents only
+when they are read.  The walks on the reading word and the jeu-de-taquin
+slides build nothing; they stay as oracles for the classical and the
+promotion arrays.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 
-from .cartan import CartanA, ClWeight
+from .cartan import CartanA
 from .crystal import CrystalElt, ModelConsistencyError, TensorElt, signature_rule
 
 _TABLES: dict = {}
@@ -30,11 +32,12 @@ _CARTANS: dict = {}
 class RectTableau(CrystalElt):
     """An element of B^{r,s}.  Tableaux are interned: the constructor checks
     the rows and returns the one object its KRTable holds, so equality is
-    identity.  `table` is that KRTable and `pos` the element's index in it.
-    So building one tableau enumerates its whole B^{r,s} on first use, and
-    the table lives for the rest of the process."""
+    identity.  `table` is that KRTable and `pos` the element's index in it;
+    the rows are read off the table's contents.  So building one tableau
+    enumerates its whole B^{r,s} on first use, and the table lives for the
+    rest of the process."""
 
-    __slots__ = ("cartan", "rows", "table", "pos")
+    __slots__ = ("cartan", "table", "pos")
 
     def __new__(cls, cartan: CartanA, rows):
         rows = tuple(tuple(int(v) for v in row) for row in rows)
@@ -51,6 +54,10 @@ class RectTableau(CrystalElt):
         return RectTableau, (self.cartan, self.rows)
 
     @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return _rows(self.table.contents[self.pos], self.cartan.m)
+
+    @property
     def shape(self) -> tuple[int, int]:
         return self.table.shape
 
@@ -58,7 +65,7 @@ class RectTableau(CrystalElt):
         cs, m = self.table.contents[self.pos], self.cartan.m
         return tuple(sum(cs[v::m]) for v in range(m))
 
-    def clweight(self) -> ClWeight:
+    def clweight(self) -> tuple[int, ...]:
         return self.table.wt[self.pos]
 
     def e(self, i):
@@ -73,7 +80,8 @@ class RectTableau(CrystalElt):
         return self.table.stats[i][self.pos]
 
     def sort_key(self):
-        return (self.shape, self.rows)
+        """Positions follow the canonical order of the rows."""
+        return (self.shape, self.pos)
 
     def text(self) -> str:
         if self.shape[1] == 0:
@@ -259,7 +267,8 @@ class KRTable:
     - e[i][k], f[i][k]: cl_e / cl_f plus node 0 as pr_inv o (node 1) o pr;
     - eps[i][k], phi[i][k]: the lengths of its i-string above and below it;
     - stats[i][k]: the pair (eps[i][k], phi[i][k]);
-    - wt[k]: its classical weight, a ClWeight of an int tuple.
+    - wt[k]: its classical weight, the int tuple of its Lambda coefficients;
+    - b_rs: the distinguished element b^{r,s}.
     """
 
     def __init__(self, c: CartanA, r: int, s: int):
@@ -268,24 +277,35 @@ class KRTable:
         self.name = f"B^{{{r},{s}}}"
         self.contents = _contents(c.m, r, s)
         self.index = {cs: k for k, cs in enumerate(self.contents)}
-        self.elements = tuple(self._intern(_rows(cs, c.m), k)
-                              for k, cs in enumerate(self.contents))
+        self.elements = tuple(map(self._intern, range(len(self.contents))))
 
-    def _intern(self, rows, k) -> RectTableau:
+    def _intern(self, k) -> RectTableau:
         T = object.__new__(RectTableau)
-        for name, value in (("cartan", self.cartan), ("rows", rows),
-                            ("table", self), ("pos", k)):
+        for name, value in (("cartan", self.cartan), ("table", self), ("pos", k)):
             object.__setattr__(T, name, value)
         return T
 
     @cached_property
-    def wt(self) -> list[ClWeight]:
+    def wt(self) -> list[tuple[int, ...]]:
         m = self.cartan.m
         out = []
         for T in self.elements:
             c = T.content()
-            out.append(ClWeight(tuple(c[i - 1] - c[i % m] for i in range(m))))
+            out.append(tuple(c[i - 1] - c[i % m] for i in range(m)))
         return out
+
+    @cached_property
+    def b_rs(self) -> RectTableau:
+        """The unique element with eps_0 = s and eps_i = 0 for classical i,
+        located by exhaustive scan.  Non-uniqueness means broken 0-arrows."""
+        eps, s = self.eps, self.shape[1]
+        classical = [eps[i] for i in self.cartan.classical_nodes]
+        hits = [T for k, T in enumerate(self.elements)
+                if all(row[k] == 0 for row in classical) and eps[0][k] == s]
+        if len(hits) != 1:
+            raise ModelConsistencyError(
+                f"expected one distinguished element in {self.name}, found {len(hits)}")
+        return hits[0]
 
     @cached_property
     def pr(self) -> list[int]:
@@ -478,19 +498,9 @@ def generate(c: CartanA, r: int, s: int) -> tuple[RectTableau, ...]:
     return _table(c, r, s).elements
 
 
-@lru_cache(maxsize=None)
 def find_b_rs(c: CartanA, r: int, s: int) -> RectTableau:
-    """The unique element with eps_0 = s and eps_i = 0 for classical i,
-    located by exhaustive scan.  Non-uniqueness means broken 0-arrows."""
-    elements = generate(c, r, s)
-    eps = elements[0].table.eps
-    classical = [eps[i] for i in c.classical_nodes]
-    hits = [T for k, T in enumerate(elements)
-            if all(row[k] == 0 for row in classical) and eps[0][k] == s]
-    if len(hits) != 1:
-        raise ModelConsistencyError(
-            f"expected one distinguished element in B^{{{r},{s}}}, found {len(hits)}")
-    return hits[0]
+    """The distinguished element b^{r,s} of B^{r,s}, as its table scans it."""
+    return generate(c, r, s)[0].table.b_rs
 
 
 def tableau_text(T: RectTableau) -> str:

@@ -89,7 +89,7 @@ def criterion_axioms() -> str:
             if sum(w):
                 _fail(space, "nonzero level at %r", x)
         for i in c.nodes:
-            alpha = cl_simple_root(c, i).lam
+            alpha = cl_simple_root(c, i)
             node = rows[i]
             for x, (ep, ph, up, down) in node.items():
                 w = wt[x]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from darkc.cartan import (AffineWeight, CartanA, ClWeight, aff_level_zero,
+from darkc.cartan import (AffineWeight, CartanA, aff_level_zero,
                           cl_simple_root, d_coeff, d_pair, delta_weight,
                           fundamental_weight, reflect, rotate, simple_root,
                           weight_from_json, weight_to_json, zero_weight)
@@ -133,18 +133,18 @@ def test_d_pair_examples():
 
 def test_aff_level_zero():
     c = CartanA(1)
-    assert aff_level_zero(c, ClWeight((-1, 1))) == AffineWeight(
+    assert aff_level_zero(c, (-1, 1)) == AffineWeight(
         (-1, 1), Fraction(1, 4))
-    assert aff_level_zero(c, ClWeight((0, 0))) == zero_weight(c)
+    assert aff_level_zero(c, (0, 0)) == zero_weight(c)
     with pytest.raises(ValueError):
-        aff_level_zero(c, ClWeight((1, 1)))
+        aff_level_zero(c, (1, 1))
     rng = random.Random(13)
     for n in (1, 2, 3):
         c = CartanA(n)
         for _ in range(20):
             lam = [rng.randint(-3, 3) for _ in range(n)]
             lam.append(-sum(lam))
-            mu = aff_level_zero(c, ClWeight(tuple(lam)))
+            mu = aff_level_zero(c, tuple(lam))
             assert d_pair(c, mu) == 0
     for n in range(1, 7):
         c = CartanA(n)
@@ -152,7 +152,7 @@ def test_aff_level_zero():
             lam = [rng.randint(-6, 6) for _ in range(n)]
             lam.append(-sum(lam))
             want = -sum((v * d_coeff(c, j) for j, v in enumerate(lam)), Fraction(0))
-            assert aff_level_zero(c, ClWeight(tuple(lam))) == AffineWeight(tuple(lam), want)
+            assert aff_level_zero(c, tuple(lam)) == AffineWeight(tuple(lam), want)
 
 
 def test_denominators_divide_2m():
@@ -167,14 +167,14 @@ def test_denominators_divide_2m():
             assert (2 * c.m) % d_pair(c, mu).denominator == 0
         lam = [rng.randint(-3, 3) for _ in range(n)]
         lam.append(-sum(lam))
-        assert (2 * c.m) % aff_level_zero(c, ClWeight(tuple(lam))).dlt.denominator == 0
+        assert (2 * c.m) % aff_level_zero(c, tuple(lam)).dlt.denominator == 0
 
 
 def test_cl_simple_root_level_zero():
     for n in (1, 2, 3):
         c = CartanA(n)
         for i in c.nodes:
-            assert cl_simple_root(c, i).level == 0
+            assert sum(cl_simple_root(c, i)) == 0
 
 
 def test_node_range_errors():
@@ -256,4 +256,4 @@ def test_pairing_reflection_and_section_match_the_fraction_formulas():
                     mu.dlt - k * Fraction(1, c.m))
             lam = list(mu.lam[:-1]) + [-sum(mu.lam[:-1])]
             want = -sum((v * d_coeff(c, j) for j, v in enumerate(lam)), Fraction(0))
-            assert aff_level_zero(c, ClWeight(tuple(lam))) == AffineWeight(tuple(lam), want)
+            assert aff_level_zero(c, tuple(lam)) == AffineWeight(tuple(lam), want)

@@ -100,6 +100,29 @@ def test_export_dot(tmp_path, capsys):
     assert blob["nodes"] == ["1", "2"]
 
 
+
+# Node order follows sort_key, the factors' table positions.
+EXPORT_NODES = [f"{top}|{b}" for top in ("11/22", "11/23", "11/33", "12/23", "12/33", "22/33")
+                for b in "123"]
+EXPORT_EDGES = ("0 1 1, 0 3 2, 1 4 2, 2 0 0, 2 5 2, 3 6 2, 3 9 1, 4 7 2, 5 3 0, "
+                "5 11 1, 6 12 1, 7 8 2, 7 13 1, 8 6 0, 8 14 1, 9 10 1, 9 12 2, "
+                "10 1 0, 10 13 2, 11 2 0, 12 15 1, 13 4 0, 13 14 2, 14 5 0, "
+                "14 17 1, 15 9 0, 15 16 1, 16 10 0, 16 17 2, 17 11 0")
+
+
+def test_export_golden(capsys):
+    code, out, err = run_main(capsys, "export", "--n", "2", "--lambda", "2,1",
+                              "--r", "2,1", "--w", "1 2 ; 2 1", "--dot", "--json-file")
+    edges = [tuple(map(int, e.split())) for e in EXPORT_EDGES.split(", ")]
+    assert len(EXPORT_NODES) == 18 and len(edges) == 30
+    dot = "".join(["digraph crystal {\n  rankdir=LR;\n"]
+                  + [f'  {k} [label="{t}"];\n' for k, t in enumerate(EXPORT_NODES)]
+                  + [f'  {s} -> {d} [label="{i}"];\n' for s, d, i in edges] + ["}\n"])
+    graph = {"nodes": EXPORT_NODES,
+             "edges": [{"src": s, "dst": d, "i": i} for s, d, i in edges]}
+    assert (code, err) == (0, "")
+    assert out == dot + json.dumps(graph) + "\n"
+
 def test_prefixed_word_syntax(capsys):
     code, out, _ = run_main(capsys, "verify", "--n", "2", "--lambda", "2,1",
                             "--w", "1 2 1 | ; 2 1")

@@ -360,10 +360,8 @@ def fresh_tables(monkeypatch):
     come back after it."""
     monkeypatch.setattr(kr, "_TABLES", {})
     monkeypatch.setattr(energy, "_TABLES", {})
-    find_b_rs.cache_clear()
     yield
     monkeypatch.undo()
-    find_b_rs.cache_clear()
 
 
 def test_dead_factor_on_codes_is_an_internal_error(fresh_tables, capsys):
