@@ -15,7 +15,7 @@ import sys
 
 from .cartan import CartanA
 from .charring import char_to_json
-from .crystal import ModelConsistencyError, graph_dot, graph_json
+from .crystal import Codes, ModelConsistencyError, graph_dot, graph_json
 from .dark import (DarkSpec, FactorWord, build, dark_to_json, lhs_character,
                    rhs_character, verify_detail)
 from .energy import pair_energies, total_D
@@ -158,8 +158,10 @@ def _cmd_energy(args) -> int:
     for b, (r, s) in zip(x.factors, shapes):
         if b.shape != (r, s):
             raise ValueError(f"factor {b.text()} does not have shape {r}x{s}")
-    pairs = [(i + 1, j + 1, h) for i, j, h in pair_energies(x)]
-    d = total_D(x)
+    space = Codes(b.table for b in x.factors)
+    code = space.code(x)
+    pairs = [(i + 1, j + 1, h) for i, j, h in pair_energies(space, code)]
+    d = total_D(space, code)
     if args.json:
         print(json.dumps({"D": d,
                           "pairs": [{"i": i, "j": j, "H": h} for i, j, h in pairs]}))

@@ -1,5 +1,10 @@
 """Crystal elements, tensor products, and Demazure-style subset closures.
 
+A tensor product of KR crystals is held two ways: `TensorElt` objects, for
+parsing, printing and the oracles, and `Codes`, where an element is the tuple
+of its factors' positions in their tables and the signature rule folds over
+the tables' arrays.  `dark.build` and the energy tables run on codes.
+
 The distinguished zero of a crystal is represented by None: crystal operators
 return None when they annihilate an element, and never raise.
 """
@@ -7,41 +12,12 @@ return None when they annihilate an element, and never raise.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from itertools import product
+from operator import add, getitem
 
 
 class ModelConsistencyError(RuntimeError):
     """The combinatorial model produced contradictory data (a bug, not bad input)."""
-
-
-class CrystalElt:
-    """Interface for crystal elements.  Implementations are immutable and
-    hashable, expose their Cartan datum as `cartan`, and provide the
-    raising/lowering operators, the string lengths and a classical weight,
-    the int tuple of its Lambda coefficients.
-    They are kr.RectTableau, an element of an enumerated KR crystal, and
-    TensorElt."""
-
-    __slots__ = ()
-
-    def e(self, i):
-        raise NotImplementedError
-
-    def f(self, i):
-        raise NotImplementedError
-
-    def stats(self, i) -> tuple[int, int]:
-        """(eps_i, phi_i): how many times e_i and f_i apply."""
-        raise NotImplementedError
-
-    def clweight(self) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def sort_key(self):
-        raise NotImplementedError
-
-    def text(self) -> str:
-        raise NotImplementedError
 
 
 # eps, phi and TensorElt.e/f keep no cache keyed by element (maxsize=0): on a
@@ -49,13 +25,13 @@ class CrystalElt:
 # rule over such reads, and such a cache would keep every element alive.
 # cache_info() still reports the entry count, 0, to callers that read it.
 @lru_cache(maxsize=0)
-def eps(b: CrystalElt, i: int) -> int:
+def eps(b, i: int) -> int:
     """epsilon_i(b): how many times e_i applies."""
     return b.stats(i)[0]
 
 
 @lru_cache(maxsize=0)
-def phi(b: CrystalElt, i: int) -> int:
+def phi(b, i: int) -> int:
     """phi_i(b): how many times f_i applies."""
     return b.stats(i)[1]
 
@@ -66,8 +42,8 @@ def signature_rule(pairs) -> tuple[int, int, int | None, int | None]:
     cancels a later '-'.  Folded left to right, it returns (eps_i, phi_i, the
     factor of the rightmost uncancelled '-', the factor of the leftmost
     uncancelled '+'); a factor is None when no such sign is left.  TensorElt
-    passes its factors' stats(i); the integer codes of `dark.Codes` pass reads
-    of their tables' stats[i] arrays."""
+    passes its factors' stats(i); `Codes` passes reads of its tables'
+    stats[i] arrays."""
     ep = ph = k = 0
     up = down = None
     for eb, pb in pairs:
@@ -85,9 +61,12 @@ def signature_rule(pairs) -> tuple[int, int, int | None, int | None]:
     return ep, ph, up, down
 
 
-class TensorElt(CrystalElt):
+class TensorElt:
     """Ordered tensor product element; factors share one Cartan datum.
-    Factors may themselves be tensor elements."""
+    Factors may themselves be tensor elements.  Like kr.RectTableau, it is
+    immutable and hashable, exposes its Cartan datum as `cartan`, and provides
+    e(i) and f(i) (None for 0), stats(i) = (eps_i, phi_i), clweight() (the int
+    tuple of its Lambda coefficients), sort_key() and text()."""
 
     __slots__ = ("factors",)
 
@@ -160,6 +139,70 @@ class TensorElt(CrystalElt):
         return "|".join(b.text() for b in self.factors)
 
 
+def _move(x, k, arrows, side):
+    """x with factor k moved along its table's array; None for no factor k."""
+    if k is None:
+        return None
+    j = arrows[k][x[k]]
+    if j < 0:
+        raise ModelConsistencyError(f"tensor rule chose a dead factor for {side}")
+    return x[:k] + (j,) + x[k + 1:]
+
+
+class Codes:
+    """The tensor product of the KR crystals of some tables, with an element
+    coded as the tuple of its factors' positions in them.  Positions follow
+    each table's canonical order, so codes sort as their elements do.
+    `dark.build` and `energy.EnergyTable` run on codes, and selftest criteria
+    1 and 2 check them."""
+
+    def __init__(self, tables):
+        self.tables = tuple(tables)
+        self._elements = [t.elements for t in self.tables]
+        self._wts = [t.wt for t in self.tables]
+
+    def __iter__(self):
+        """Every code, in canonical order."""
+        return product(*(range(len(t.elements)) for t in self.tables))
+
+    def node(self, i: int):
+        """x -> (eps_i, phi_i, e_i x, f_i x) on codes: one fold of the signature
+        rule over reads of the tables' stats[i], then one read of the e[i] and
+        f[i] arrays of the factors it chose, each None where the operator gives
+        0.  A chosen factor that its array kills is a ModelConsistencyError."""
+        stats = [t.stats[i] for t in self.tables]
+        ups = [t.e[i] for t in self.tables]
+        downs = [t.f[i] for t in self.tables]
+
+        def row(x):
+            ep, ph, up, down = signature_rule(map(getitem, stats, x))
+            return ep, ph, _move(x, up, ups, "e"), _move(x, down, downs, "f")
+        return row
+
+    def f(self, i: int):
+        """x -> f_i x, the f half of `node`: the same fold and move, without the
+        e read that `build` does not need."""
+        stats = [t.stats[i] for t in self.tables]
+        downs = [t.f[i] for t in self.tables]
+        return lambda x: _move(x, signature_rule(map(getitem, stats, x))[3], downs, "f")
+
+    def weight(self, x) -> tuple[int, ...]:
+        """The classical weight of a nonempty code x, read off the tables' wt."""
+        wts = map(getitem, self._wts, x)
+        w = next(wts)
+        for v in wts:
+            w = tuple(map(add, w, v))
+        return w
+
+    def element(self, x) -> TensorElt:
+        return TensorElt(tuple(map(getitem, self._elements, x)))
+
+    def code(self, b: TensorElt) -> tuple[int, ...]:
+        if any(a.table is not t for a, t in zip(b.factors, self.tables, strict=True)):
+            raise ValueError(f"{b.text()} is not in {' (x) '.join(t.name for t in self.tables)}")
+        return tuple(a.pos for a in b.factors)
+
+
 def f_closure(i: int, elements) -> set:
     """F_i S: saturate a set downward along the i-strings."""
     out = set(elements)
@@ -183,7 +226,7 @@ def demazure_closure(word, elements) -> set:
     return out
 
 
-def classical_highest_path(x: CrystalElt) -> tuple[CrystalElt, tuple[int, ...]]:
+def classical_highest_path(x) -> tuple:
     """Raise along classical nodes (smallest applicable index first) until no
     e_i applies; returns the classical highest element and the index word."""
     word = []

@@ -8,18 +8,18 @@ character, graded by the energy statistic, must match the nested Demazure
 operator formula up to one global shift e^{C delta}; verify fits C and tests
 the match exactly.
 
-`build` works on integer codes: an element of B_1 (x) ... (x) B_p is the tuple
-of its factors' positions in their KRTables (`Codes`), f_i is the signature
-rule over the tables' arrays, and the twist is a read of their promotion
-powers.  The final set keeps its energy D with each code.  D is constant on
+`build` works on integer codes (`crystal.Codes`): an element of
+B_1 (x) ... (x) B_p is the tuple of its factors' positions in their KRTables,
+f_i is the signature rule over the tables' arrays, and the twist is a read of
+their promotion powers.  The final set keeps its energy D with each code.  D is constant on
 classical components: the local energy H is classically invariant and the
 R-matrix commutes with the classical e_i and f_i (Shimozono 2002;
 Schilling-Tingley, arXiv:1104.2359).  So a closure step along a classical
 letter copies D from its source, and only the seeds b (x) twist(x) and the
-elements first reached by f_0 take a total_D walk.  The words of a spec lie
-below y_r in the classical Weyl group and hold no 0, so in `build` the walks
-are one per seed.  TensorElt objects appear only at the boundary: parsing,
-printing, export and the oracles.
+elements first reached by f_0 take a total_D walk, which runs on the code
+too.  The words of a spec lie below y_r in the classical Weyl group and hold
+no 0, so in `build` the walks are one per seed.  TensorElt objects appear
+only at the boundary: parsing, printing, export and the oracles.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from operator import add, getitem
+from operator import getitem
 
 from .cartan import CartanA, aff_level_zero, delta_weight, fundamental_weight
 from .charring import CharPoly, fit_delta_shift, rhs_formula
-from .crystal import ModelConsistencyError, TensorElt, signature_rule
+from .crystal import Codes, TensorElt
 from .energy import total_D
 from .kr import find_b_rs, generate
 from .weyl import (all_reduced_words, bruhat_lower_interval, from_reduced_word,
@@ -122,67 +122,6 @@ def validate(spec: DarkSpec) -> None:
                 f"factor {j}: word {fw.word} is not below y_{rj} in Bruhat order")
 
 
-def _move(x, k, arrows, side):
-    """x with factor k moved along its table's array; None for no factor k."""
-    if k is None:
-        return None
-    j = arrows[k][x[k]]
-    if j < 0:
-        raise ModelConsistencyError(f"tensor rule chose a dead factor for {side}")
-    return x[:k] + (j,) + x[k + 1:]
-
-
-class Codes:
-    """The tensor product of the KR crystals of some tables, with an element
-    coded as the tuple of its factors' positions in them.  Positions follow
-    each table's canonical order, so codes sort as their elements do.  `build`
-    runs on codes, and selftest criteria 1 and 2 check them."""
-
-    def __init__(self, tables):
-        self.tables = tuple(tables)
-
-    def __iter__(self):
-        """Every code, in canonical order."""
-        return product(*(range(len(t.elements)) for t in self.tables))
-
-    def node(self, i: int):
-        """x -> (eps_i, phi_i, e_i x, f_i x) on codes: one fold of the signature
-        rule over reads of the tables' stats[i], then one read of the e[i] and
-        f[i] arrays of the factors it chose, each None where the operator gives
-        0.  A chosen factor that its array kills is a ModelConsistencyError."""
-        stats = [t.stats[i] for t in self.tables]
-        ups = [t.e[i] for t in self.tables]
-        downs = [t.f[i] for t in self.tables]
-
-        def row(x):
-            ep, ph, up, down = signature_rule(map(getitem, stats, x))
-            return ep, ph, _move(x, up, ups, "e"), _move(x, down, downs, "f")
-        return row
-
-    def f(self, i: int):
-        """x -> f_i x, the f half of `node`: the same fold and move, without the
-        e read that `build` does not need."""
-        stats = [t.stats[i] for t in self.tables]
-        downs = [t.f[i] for t in self.tables]
-        return lambda x: _move(x, signature_rule(map(getitem, stats, x))[3], downs, "f")
-
-    def weight(self, x) -> tuple[int, ...]:
-        """The classical weight of a nonempty code x, read off the tables' wt."""
-        wts = map(getitem, [t.wt for t in self.tables], x)
-        w = next(wts)
-        for v in wts:
-            w = tuple(map(add, w, v))
-        return w
-
-    def element(self, x) -> TensorElt:
-        return TensorElt(tuple([t.elements[k] for t, k in zip(self.tables, x)]))
-
-    def code(self, b: TensorElt) -> tuple[int, ...]:
-        if any(a.table is not t for a, t in zip(b.factors, self.tables, strict=True)):
-            raise ValueError(f"{b.text()} is not in {' (x) '.join(t.name for t in self.tables)}")
-        return tuple(a.pos for a in b.factors)
-
-
 @dataclass(frozen=True, eq=False)
 class DarkSet:
     """A DARK set as codes over `product`, each mapped to its energy D."""
@@ -232,7 +171,7 @@ def build(spec: DarkSpec) -> DarkSet:
     for j in range(spec.p - 1, -1, -1):
         space = Codes(tables[j:])
         twist = [t.pr_powers[spec.r[j] % c.m] for t in tables[j + 1:]]  # tau_r = r
-        walk = (lambda x: total_D(space.element(x))) if j == 0 else (lambda x: None)
+        walk = (lambda x: total_D(space, x)) if j == 0 else (lambda x: None)
         seeds = ((dist[j].pos,) + tuple(map(getitem, twist, x)) for x in energies)
         energies = _close(space, spec.words[j].letters, {y: walk(y) for y in seeds}, walk)
     return DarkSet(spec, space, energies)
@@ -357,7 +296,8 @@ def dark_from_json(obj: dict) -> DarkSet:
         if len(texts) != spec.p:
             raise ValueError(f"element {'|'.join(texts)} has {len(texts)} factors, not {spec.p}")
         b = TensorElt(tuple(parse_tableau(c, t, r) for t, r in zip(texts, spec.r)))
-        energies[product.code(b)] = total_D(b)
+        x = product.code(b)
+        energies[x] = total_D(product, x)
     if obj["size"] != len(energies):
         raise ValueError(f"size {obj['size']} but {len(energies)} distinct elements")
     return DarkSet(spec, product, energies)

@@ -23,13 +23,13 @@ from functools import cached_property
 from itertools import accumulate, chain, repeat
 
 from .cartan import CartanA
-from .crystal import CrystalElt, ModelConsistencyError, TensorElt, signature_rule
+from .crystal import ModelConsistencyError, TensorElt, signature_rule
 
 _TABLES: dict = {}
 _CARTANS: dict = {}
 
 
-class RectTableau(CrystalElt):
+class RectTableau:
     """An element of B^{r,s}.  Tableaux are interned: the constructor checks
     the rows and returns the one object its KRTable holds, so equality is
     identity.  `table` is that KRTable and `pos` the element's index in it;

@@ -5,7 +5,7 @@ raises CheckFailure on the first violation.  Nothing here depends on hash
 ordering or wall time, so repeated runs print identical bytes.
 
 Criteria 1 and 2 check the crystal axioms and the tensor twist equations on
-`dark.Codes`, the integer codes that `build` runs on; an element is built
+`crystal.Codes`, the integer codes that `build` runs on; an element is built
 only to name it in a failure.  Criterion 2 checks promotion on the tableaux.
 """
 
@@ -21,10 +21,9 @@ from operator import getitem, sub
 from .cartan import (AffineWeight, CartanA, cl_simple_root, reflect, rotate,
                      simple_root)
 from .charring import CharPoly, demazure_op, sigma_act
-from .crystal import (ModelConsistencyError, TensorElt, classical_highest_path,
+from .crystal import (Codes, ModelConsistencyError, TensorElt, classical_highest_path,
                       demazure_closure, eps)
-from .dark import Codes, DarkSpec, FactorWord, build, full_tensor, verify, \
-    well_definedness_check
+from .dark import DarkSpec, FactorWord, build, full_tensor, verify, well_definedness_check
 from .energy import comb_R, local_H
 from .kr import (find_b_rs, generate, promotion, promotion_inverse,
                  promotion_inverse_by_slides)

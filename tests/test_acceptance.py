@@ -10,9 +10,11 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import darkc
 from darkc import selftest
 
 BUDGETS = {
@@ -80,9 +82,12 @@ def test_criterion_09_maximal_words_full_tensor():
 
 
 def _start_selftest(hash_seed):
+    # run from the directory that holds the imported package, so that the
+    # child imports the same source without an installed darkc
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     return subprocess.Popen([sys.executable, "-m", "darkc", "selftest"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                            cwd=Path(darkc.__file__).resolve().parents[1])
 
 
 def _selftest_bytes(proc):

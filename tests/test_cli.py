@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import darkc
 from darkc import dark, kr
 from darkc.cli import main
 from darkc.crystal import ModelConsistencyError
@@ -16,8 +18,11 @@ def run_main(capsys, *argv):
 
 
 def run_proc(*argv):
+    # run from the directory that holds the imported package, so that the
+    # child imports the same source without an installed darkc
     return subprocess.run([sys.executable, "-m", "darkc", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          cwd=Path(darkc.__file__).resolve().parents[1])
 
 
 def test_verify_anchor(capsys):

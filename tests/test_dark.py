@@ -8,8 +8,8 @@ import pytest
 
 from darkc import cli, energy, kr
 from darkc.cartan import CartanA
-from darkc.crystal import ModelConsistencyError, TensorElt, demazure_closure
-from darkc.dark import (Codes, DarkSpec, FactorWord, _close, build, dark_from_json,
+from darkc.crystal import Codes, ModelConsistencyError, TensorElt, demazure_closure
+from darkc.dark import (DarkSpec, FactorWord, _close, build, dark_from_json,
                         dark_to_json, full_tensor, i_string_report,
                         lhs_character, make_spec, typeA_rows, verify,
                         well_definedness_check)
@@ -164,7 +164,7 @@ def test_flipped_energy_sign_breaks_the_identity(monkeypatch):
 
     spec = make_spec(1, (1, 1), words=[(1,), (1,)])
     real = dark_mod.total_D
-    monkeypatch.setattr(dark_mod, "total_D", lambda x: -real(x))
+    monkeypatch.setattr(dark_mod, "total_D", lambda *args: -real(*args))
     ok, shift = verify(spec)
     assert not ok and shift is None
 
@@ -252,8 +252,25 @@ def test_carried_energy_matches_total_D_and_the_object_build(group):
         dark = build(spec)
         assert dark.elements == object_space_build(spec), spec
         for x, d in dark.energies.items():
-            assert d == total_D(dark.product.element(x)), (spec, x)
+            assert d == total_D(dark.product, x), (spec, x)
         assert dark.sorted_elements() == sorted(dark.elements, key=lambda b: b.sort_key())
+
+
+def test_verify_builds_no_tensor_elements(monkeypatch):
+    # build, energy and both characters run on codes; tensor elements are
+    # made only at the boundary (parsing, printing, export) and by oracles
+    made = []
+    init = TensorElt.__init__
+
+    def counting_init(self, factors):
+        made.append(factors)
+        init(self, factors)
+
+    monkeypatch.setattr(TensorElt, "__init__", counting_init)
+    specs = [workloads.maximal_spec(*case) for case in workloads.LADDER[:2]]
+    for spec in specs + workloads.sweep_specs(1)[:20]:
+        assert verify(spec)[0], spec
+    assert len(made) == 0
 
 
 def test_closure_walks_D_at_f0_arrivals():
@@ -265,7 +282,7 @@ def test_closure_walks_D_at_f0_arrivals():
     space = Codes([find_b_rs(c, r, s).table for r, s in ((1, 2), (1, 1))])
 
     def walk(x):
-        return total_D(space.element(x))
+        return total_D(space, x)
 
     energies = _close(space, (1, 0, 2, 0, 1), {seed: walk(seed)}, walk)
     assert len(set(energies.values())) > 1  # so copying along f_0 would be wrong

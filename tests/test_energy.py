@@ -1,11 +1,12 @@
+from bisect import bisect_right
 from itertools import product
 
 import pytest
 
 from darkc import energy
 from darkc.cartan import CartanA
-from darkc.crystal import TensorElt, classical_highest_path
-from darkc.energy import comb_R, local_H, total_D
+from darkc.crystal import Codes, TensorElt, classical_highest_path
+from darkc.energy import comb_R, local_H
 from darkc.kr import find_b_rs, generate, parse_tableau, parse_tensor
 from darkc.selftest import EnergyOracle
 
@@ -16,6 +17,12 @@ def elt(n, text, r=None):
 
 def tensor(n, *texts):
     return TensorElt(tuple(elt(n, t) for t in texts))
+
+
+def total_D(b):
+    """energy.total_D of a tensor element, on its code over its factors' tables."""
+    space = Codes(a.table for a in b.factors)
+    return energy.total_D(space, space.code(b))
 
 
 def test_r_is_identity_on_equal_factors():
@@ -123,6 +130,45 @@ def test_lazy_entries_match_oracle(n, sh1, sh2):
         x = TensorElt((a, b))
         assert comb_R(x).factors == oracle.R[(a, b)]
         assert local_H(x) == oracle.H[(a, b)]
+
+
+def tensor_word(x):
+    """The reading word of a tensor element: each factor's rows, bottom row
+    first, right factor first.  The word brackets i+1 against a later i and
+    the signature rule a '+' against a later '-', so the two orders are
+    reversed, and e_i and f_i on x act as on this word."""
+    return [v for f in reversed(x.factors) for row in reversed(f.rows) for v in row]
+
+
+def insertion_tableau(word):
+    """P(word) by RSK row insertion: each letter bumps the leftmost larger
+    entry of a row into the next row."""
+    P = []
+    for v in word:
+        for row in P:
+            k = bisect_right(row, v)
+            if k == len(row):
+                row.append(v)
+                break
+            row[k], v = v, row[k]
+        else:
+            P.append([v])
+    return P
+
+
+@pytest.mark.parametrize("n, sh1, sh2", [(3, (2, 2), (2, 3)), (4, (2, 2), (3, 1)),
+                                         (3, (1, 3), (3, 2)), (4, (2, 2), (2, 2))])
+def test_r_and_h_match_the_plactic_oracle(n, sh1, sh2):
+    # Shimozono 2002: R keeps the insertion tableau P of the tensor word, and
+    # H counts the boxes of its shape below row max(r, r').  Row insertion
+    # shares no code with the raising walk, and these pairs lie beyond the
+    # grid's cap on selftest.EnergyOracle.
+    c = CartanA(n)
+    rows = max(sh1[0], sh2[0])
+    for x in map(TensorElt, product(generate(c, *sh1), generate(c, *sh2))):
+        P = insertion_tableau(tensor_word(x))
+        assert insertion_tableau(tensor_word(comb_R(x))) == P, x
+        assert local_H(x) == -sum(map(len, P[rows:])), x
 
 
 def test_total_d_computes_only_the_pairs_it_needs(monkeypatch):

@@ -1,4 +1,4 @@
-"""Criteria 1 and 2 run on the integer codes of `dark.Codes`: they build no
+"""Criteria 1 and 2 run on the integer codes of `crystal.Codes`: they build no
 tensor objects per element, and they still catch a broken arrow in the tables
 that codes read."""
 
