@@ -128,9 +128,9 @@ def _cmd_export(args) -> int:
                 handle.write(text)
 
     if args.dot:
-        emit(args.dot, graph_dot(dark.elements))
+        emit(args.dot, graph_dot(dark.product, dark.energies))
     if json_path:
-        emit(json_path, json.dumps(graph_json(dark.elements)) + "\n")
+        emit(json_path, json.dumps(graph_json(dark.product, dark.energies)) + "\n")
     return 0
 
 

@@ -1,9 +1,14 @@
 """Crystal elements, tensor products, and Demazure-style subset closures.
 
-A tensor product of KR crystals is held two ways: `TensorElt` objects, for
-parsing, printing and the oracles, and `Codes`, where an element is the tuple
-of its factors' positions in their tables and the signature rule folds over
-the tables' arrays.  `dark.build` and the energy tables run on codes.
+A tensor product of KR crystals is held three ways, one for each job:
+
+- `TensorElt` objects serve the boundary (parsing, printing, export labels)
+  and the oracles;
+- `Codes`, where an element is the tuple of its factors' positions in their
+  tables and the signature rule folds over the tables' arrays per call, serve
+  sparse closures (`dark.build`) and the energy tables;
+- `ProductTable`, a product enumerated once with KRTable's arrays over all its
+  positions, serves whole-product checks (selftest criteria 1, 2 and 8).
 
 The distinguished zero of a crystal is represented by None: crystal operators
 return None when they annihilate an element, and never raise.
@@ -42,8 +47,8 @@ def signature_rule(pairs) -> tuple[int, int, int | None, int | None]:
     cancels a later '-'.  Folded left to right, it returns (eps_i, phi_i, the
     factor of the rightmost uncancelled '-', the factor of the leftmost
     uncancelled '+'); a factor is None when no such sign is left.  TensorElt
-    passes its factors' stats(i); `Codes` passes reads of its tables'
-    stats[i] arrays."""
+    passes its factors' stats(i); `Codes` and `ProductTable` pass reads of
+    their tables' stats[i] arrays."""
     ep = ph = k = 0
     up = down = None
     for eb, pb in pairs:
@@ -153,8 +158,8 @@ class Codes:
     """The tensor product of the KR crystals of some tables, with an element
     coded as the tuple of its factors' positions in them.  Positions follow
     each table's canonical order, so codes sort as their elements do.
-    `dark.build` and `energy.EnergyTable` run on codes, and selftest criteria
-    1 and 2 check them."""
+    `dark.build` and `energy.EnergyTable` run on codes; the tests tie them to
+    the arrays of `ProductTable`, which the selftest checks."""
 
     def __init__(self, tables):
         self.tables = tuple(tables)
@@ -203,6 +208,60 @@ class Codes:
         return tuple(a.pos for a in b.factors)
 
 
+def _factor_tables(table) -> tuple:
+    return table.tables if isinstance(table, ProductTable) else (table,)
+
+
+class ProductTable:
+    """The tensor product left (x) right of two enumerated crystals, each a
+    KRTable or a ProductTable, enumerated as a crystal with KRTable's arrays:
+    position x = a*len(right) + c is left[a] (x) right[c], so positions follow
+    the canonical order.  For every node i, stats[i][x], e[i][x] and f[i][x]
+    come from one signature rule on (left.stats[i][a], right.stats[i][c]), -1
+    standing for 0; wt[x] is the sum of the factors' weights and pr[x] the
+    product of their promotions.  The rule is associative, so a triple is
+    ProductTable(B1, ProductTable(B2, B3)).  `tables` are the KR factors."""
+
+    def __init__(self, left, right):
+        self.cartan = left.cartan
+        self.tables = _factor_tables(left) + _factor_tables(right)
+        n = len(right.wt)
+        self.wt = [tuple(map(add, u, v)) for u in left.wt for v in right.wt]
+        self.pr = [a * n + c for a in left.pr for c in right.pr]
+        self.stats, self.e, self.f = [], [], []
+        for i in self.cartan.nodes:
+            stats, up, down = [], [], []
+            arrows = (left.e[i], right.e[i]), (left.f[i], right.f[i])
+            for a, sa in enumerate(left.stats[i]):
+                for c, sc in enumerate(right.stats[i]):
+                    ep, ph, k_up, k_down = signature_rule((sa, sc))
+                    stats.append((ep, ph))
+                    up.append(_pair_move(a, c, n, k_up, arrows[0], "e"))
+                    down.append(_pair_move(a, c, n, k_down, arrows[1], "f"))
+            self.stats.append(stats)
+            self.e.append(up)
+            self.f.append(down)
+
+    def element(self, x: int) -> TensorElt:
+        """Position x as the flat tensor of its KR factors."""
+        factors = []
+        for t in reversed(self.tables):
+            x, k = divmod(x, len(t.elements))
+            factors.append(t.elements[k])
+        return TensorElt(reversed(factors))
+
+
+def _pair_move(a, c, n, k, arrows, side) -> int:
+    """The position of a (x) c with factor k (0 left, 1 right, None for no
+    factor) moved along its arrows, in a right factor of size n; -1 for 0."""
+    if k is None:
+        return -1
+    j = arrows[k][c if k else a]
+    if j < 0:
+        raise ModelConsistencyError(f"tensor rule chose a dead factor for {side}")
+    return j * n + c if k == 0 else a * n + j
+
+
 def f_closure(i: int, elements) -> set:
     """F_i S: saturate a set downward along the i-strings."""
     out = set(elements)
@@ -242,33 +301,36 @@ def classical_highest_path(x) -> tuple:
             return cur, tuple(word)
 
 
-def crystal_edges(elements):
-    """Edges (src, dst, i) of the crystal graph restricted to a set, with
-    nodes in canonical order.  Returns (sorted nodes, edges)."""
-    nodes = sorted(elements, key=lambda b: b.sort_key())
-    index = {b: k for k, b in enumerate(nodes)}
+def crystal_edges(space: Codes, codes):
+    """Edges (src, dst, i) of the crystal graph of space restricted to a set
+    of its codes, with nodes in canonical order.  Returns (sorted codes, edges)."""
+    nodes = sorted(codes)
+    index = {x: k for k, x in enumerate(nodes)}
     edges = []
-    for b in nodes:
-        for i in b.cartan.nodes:
-            c = b.f(i)
-            if c is not None and c in index:
-                edges.append((index[b], index[c], i))
+    for i in space.tables[0].cartan.nodes:
+        f = space.f(i)
+        for k, x in enumerate(nodes):
+            dst = index.get(f(x))
+            if dst is not None:
+                edges.append((k, dst, i))
     edges.sort()
     return nodes, edges
 
 
-def graph_dot(elements) -> str:
-    nodes, edges = crystal_edges(elements)
+def graph_dot(space: Codes, codes) -> str:
+    """The crystal graph of a set of codes of space in DOT, labelled by the
+    elements' text."""
+    nodes, edges = crystal_edges(space, codes)
     lines = ["digraph crystal {", "  rankdir=LR;"]
-    lines.extend(f'  {k} [label="{b.text()}"];' for k, b in enumerate(nodes))
+    lines.extend(f'  {k} [label="{space.element(x).text()}"];' for k, x in enumerate(nodes))
     lines.extend(f'  {s} -> {d} [label="{i}"];' for s, d, i in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def graph_json(elements) -> dict:
-    nodes, edges = crystal_edges(elements)
+def graph_json(space: Codes, codes) -> dict:
+    nodes, edges = crystal_edges(space, codes)
     return {
-        "nodes": [b.text() for b in nodes],
+        "nodes": [space.element(x).text() for x in nodes],
         "edges": [{"src": s, "dst": d, "i": i} for s, d, i in edges],
     }

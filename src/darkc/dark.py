@@ -164,6 +164,11 @@ def build(spec: DarkSpec) -> DarkSet:
     codes.  Only the outermost closure, the final set, needs D: its seeds and
     its elements first reached by f_0 get one total_D walk each."""
     validate(spec)
+    return _build(spec, total_D)
+
+
+def _build(spec: DarkSpec, grade) -> DarkSet:
+    """build on a valid spec, with D(x) = grade(space, x) for each walk."""
     c = spec.cartan
     dist = [find_b_rs(c, rj, sj) for rj, sj in zip(spec.r, spec.lam)]
     tables = [b.table for b in dist]
@@ -171,7 +176,7 @@ def build(spec: DarkSpec) -> DarkSet:
     for j in range(spec.p - 1, -1, -1):
         space = Codes(tables[j:])
         twist = [t.pr_powers[spec.r[j] % c.m] for t in tables[j + 1:]]  # tau_r = r
-        walk = (lambda x: total_D(space, x)) if j == 0 else (lambda x: None)
+        walk = (lambda x: grade(space, x)) if j == 0 else (lambda x: None)
         seeds = ((dist[j].pos,) + tuple(map(getitem, twist, x)) for x in energies)
         energies = _close(space, spec.words[j].letters, {y: walk(y) for y in seeds}, walk)
     return DarkSet(spec, space, energies)
@@ -179,7 +184,9 @@ def build(spec: DarkSpec) -> DarkSet:
 
 def well_definedness_check(spec: DarkSpec, cap: int = 10) -> bool:
     """Rebuild the set for every combination of reduced words of every prefix
-    and word; True when all the resulting code sets coincide."""
+    and word; True when all the resulting code sets coincide.  Only the code
+    sets are compared, so the rebuilt sets take no total_D walk, and each
+    combination is valid because the spec is."""
     validate(spec)
     c = spec.cartan
     choices = []
@@ -189,7 +196,7 @@ def well_definedness_check(spec: DarkSpec, cap: int = 10) -> bool:
         choices.append([FactorWord(a, b) for a in sorted(pv) for b in sorted(wv)])
     reference = None
     for combo in product(*choices):
-        got = build(DarkSpec(c, spec.lam, spec.r, combo)).energies.keys()
+        got = _build(DarkSpec(c, spec.lam, spec.r, combo), lambda space, x: None).energies.keys()
         if reference is None:
             reference = got
         elif got != reference:

@@ -4,9 +4,14 @@ Each criterion function returns a short deterministic summary string and
 raises CheckFailure on the first violation.  Nothing here depends on hash
 ordering or wall time, so repeated runs print identical bytes.
 
-Criteria 1 and 2 check the crystal axioms and the tensor twist equations on
-`crystal.Codes`, the integer codes that `build` runs on; an element is built
-only to name it in a failure.  Criterion 2 checks promotion on the tableaux.
+Criteria 1, 2 and 8 check whole products, so they read the arrays of the KR
+tables and of `crystal.ProductTable`, a triple being B1 (x) (B2 (x) B3):
+the axioms, the tensor twist equations, and R commuting with every e_i and
+f_i.  `build` runs on `crystal.Codes`, which the tests tie to these arrays.
+`TensorElt` serves the oracles, which share no code with the tables:
+`EnergyOracle`, which criterion 8 compares R and H of `energy.energy_table`
+with, and the Yang-Baxter check on `comb_R`.  It also names an element in a
+failure, built only then.  Criterion 2 checks promotion on the tableaux.
 """
 
 from __future__ import annotations
@@ -16,15 +21,15 @@ from collections import deque
 from fractions import Fraction
 from itertools import chain, product
 from math import prod
-from operator import getitem, sub
+from operator import sub
 
 from .cartan import (AffineWeight, CartanA, cl_simple_root, reflect, rotate,
                      simple_root)
 from .charring import CharPoly, demazure_op, sigma_act
-from .crystal import (Codes, ModelConsistencyError, TensorElt, classical_highest_path,
-                      demazure_closure, eps)
+from .crystal import (ModelConsistencyError, ProductTable, TensorElt,
+                      classical_highest_path, demazure_closure, eps)
 from .dark import DarkSpec, FactorWord, build, full_tensor, verify, well_definedness_check
-from .energy import comb_R, local_H
+from .energy import comb_R, energy_table
 from .kr import (find_b_rs, generate, promotion, promotion_inverse,
                  promotion_inverse_by_slides)
 from .weyl import bruhat_lower_interval, kr_translation_data, reduced_word
@@ -50,57 +55,60 @@ def single_shapes(n: int) -> list[tuple[int, int]]:
 
 
 def _axiom_families():
-    """(cartan, Codes) pairs: every grid B^{r,s} as a one-factor product, then
-    all tensor pairs and triples with at most PRODUCT_CAP elements."""
+    """(cartan, table) pairs: every grid B^{r,s} as its KRTable, then all
+    tensor pairs and triples with at most PRODUCT_CAP elements as
+    ProductTables, a triple as B1 (x) (B2 (x) B3) over the pair table."""
     for n in AXIOM_RANKS:
         c = CartanA(n)
         shapes = single_shapes(n)
         tables = {sh: generate(c, *sh)[0].table for sh in shapes}
-        for sh in shapes:
-            yield c, Codes((tables[sh],))
+        yield from ((c, tables[sh]) for sh in shapes)
+        smallest = min(len(t.elements) for t in tables.values())
+        right = {(sh,): tables[sh] for sh in shapes}  # and the pairs inside triples
         for combo in chain(product(shapes, repeat=2), product(shapes, repeat=3)):
-            if prod(len(tables[sh].elements) for sh in combo) <= PRODUCT_CAP:
-                yield c, Codes(tables[sh] for sh in combo)
+            size = prod(len(tables[sh].elements) for sh in combo)
+            if size <= PRODUCT_CAP:
+                space = ProductTable(tables[combo[0]], right[combo[1:]])
+                if len(combo) == 2 and size * smallest <= PRODUCT_CAP:
+                    right[combo] = space
+                yield c, space
 
 
-def _family(c: CartanA, space: Codes):
-    """{code: weight} and, per node i, {code: (eps_i, phi_i, e_i, f_i)} over the
-    space; built per family, so the rows of all families never live together."""
-    codes = list(space)
-    wt = dict(zip(codes, map(space.weight, codes)))
-    return wt, [dict(zip(codes, map(space.node(i), codes))) for i in c.nodes]
-
-
-def _fail(space: Codes, msg: str, x, *args):
-    """Raise CheckFailure naming the element of code x, built only now."""
-    raise CheckFailure(msg % ((space.element(x),) + args))
+def _fail(space, msg: str, x, *args):
+    """Raise CheckFailure naming the tensor element at position x of a
+    KRTable or ProductTable, built only now."""
+    b = space.element(x) if isinstance(space, ProductTable) else TensorElt((space.elements[x],))
+    raise CheckFailure(msg % ((b,) + args))
 
 
 def criterion_axioms() -> str:
-    """Crystal axioms for every node on every grid crystal and tensor, on codes."""
+    """Crystal axioms for every node on every grid crystal and tensor, on the
+    arrays of their tables."""
     families = 0
     elements = 0
     for c, space in _axiom_families():
         families += 1
-        wt, rows = _family(c, space)
+        wt = space.wt
         elements += len(wt)
-        for x, w in wt.items():
+        for x, w in enumerate(wt):
             if sum(w):
                 _fail(space, "nonzero level at %r", x)
         for i in c.nodes:
             alpha = cl_simple_root(c, i)
-            node = rows[i]
-            for x, (ep, ph, up, down) in node.items():
+            ups, downs = space.e[i], space.f[i]
+            for x, (ep, ph) in enumerate(space.stats[i]):
                 w = wt[x]
                 if w[i] != ph - ep:
                     _fail(space, "weight pairing broken at %r, i=%d", x, i)
-                if up is not None:
-                    if node[up][3] != x:
+                up = ups[x]
+                if up >= 0:
+                    if downs[up] != x:
                         _fail(space, "f_i e_i != id at %r, i=%d", x, i)
                     if tuple(map(sub, wt[up], w)) != alpha:
                         _fail(space, "wt(e_i b) != wt(b) + alpha_i at %r, i=%d", x, i)
-                if down is not None:
-                    if node[down][2] != x:
+                down = downs[x]
+                if down >= 0:
+                    if ups[down] != x:
                         _fail(space, "e_i f_i != id at %r, i=%d", x, i)
                     if tuple(map(sub, w, wt[down])) != alpha:
                         _fail(space, "wt(f_i b) != wt(b) - alpha_i at %r, i=%d", x, i)
@@ -108,27 +116,25 @@ def criterion_axioms() -> str:
 
 
 def _tensor_twists() -> int:
-    """The twist equations, twisting by the tables' pr arrays, on every code of
-    the criterion-1 products of two or three factors; returns their count."""
+    """The twist equations, twisting by the pr array, on every element of the
+    criterion-1 products of two or three factors; returns their count."""
     checked = 0
     for c, space in _axiom_families():
-        if len(space.tables) == 1:
+        if not isinstance(space, ProductTable):
             continue
-        prs = [t.pr for t in space.tables]
-        wt, rows = _family(c, space)
+        pr, wt = space.pr, space.wt
         cut = c.m - 1  # rotate(c, 1, .) on int tuples: coefficient j moves to j + 1
-        for x, w in wt.items():
-            z = tuple(map(getitem, prs, x))
-            if wt[z] != w[cut:] + w[:cut]:
+        for x, w in enumerate(wt):
+            if wt[pr[x]] != w[cut:] + w[:cut]:
                 _fail(space, "tensor twist weight broken at %r", x)
-            for i in c.nodes:
-                _, _, up, down = rows[i][x]
-                _, _, z_up, z_down = rows[(i + 1) % c.m][z]
-                if (None if down is None else tuple(map(getitem, prs, down))) != z_down:
-                    _fail(space, "tensor twist f equation broken at %r, i=%d", x, i)
-                if (None if up is None else tuple(map(getitem, prs, up))) != z_up:
-                    _fail(space, "tensor twist e equation broken at %r, i=%d", x, i)
-            checked += 1
+        for i in c.nodes:
+            j = (i + 1) % c.m
+            for side, ops, twisted in (("f", space.f[i], space.f[j]),
+                                       ("e", space.e[i], space.e[j])):
+                for x, y in enumerate(ops):
+                    if (-1 if y < 0 else pr[y]) != twisted[pr[x]]:
+                        _fail(space, f"tensor twist {side} equation broken at %r, i={i}", x)
+        checked += len(wt)
     return checked
 
 
@@ -390,6 +396,33 @@ class EnergyOracle:
             queue.append(pair)
 
 
+def _check_pair_energy(c: CartanA, sh1, sh2) -> None:
+    """R and H of energy_table against EnergyOracle, R^2 = id, and R commuting
+    with every e_i and f_i, on the arrays of B1 (x) B2 and B2 (x) B1."""
+    oracle = EnergyOracle(c, sh1, sh2)
+    left, right = generate(c, *sh1)[0].table, generate(c, *sh2)[0].table
+    pair, swapped = ProductTable(left, right), ProductTable(right, left)
+    table, back = energy_table(c, sh1, sh2), energy_table(c, sh2, sh1)
+    R = []  # R as positions, pair -> swapped
+    for a, A in enumerate(left.elements):
+        for b, B in enumerate(right.elements):
+            x = len(R)
+            (ra, rb), h = table.entry(a, b)
+            if (right.elements[ra], left.elements[rb]) != oracle.R[(A, B)]:
+                _fail(pair, "R differs from the oracle at %r", x)
+            if h != oracle.H[(A, B)]:
+                _fail(pair, "H differs from the oracle at %r", x)
+            if back.entry(ra, rb)[0] != (a, b):
+                _fail(pair, "R^2 != id at %r", x)
+            R.append(ra * len(left.elements) + rb)
+    for i in c.nodes:
+        for side, ops, swapped_ops in (("f", pair.f[i], swapped.f[i]),
+                                       ("e", pair.e[i], swapped.e[i])):
+            for x, y in enumerate(ops):
+                if (-1 if y < 0 else R[y]) != swapped_ops[R[x]]:
+                    _fail(pair, f"R does not commute with {side}_{i} at %r", x)
+
+
 def criterion_energy() -> str:
     """R is an involution commuting with all operators; Yang-Baxter; R and H
     match the breadth-first oracle on every grid pair."""
@@ -397,28 +430,11 @@ def criterion_energy() -> str:
     for n in AXIOM_RANKS:
         c = CartanA(n)
         shapes = single_shapes(n)
-        singles = {sh: generate(c, *sh) for sh in shapes}
         for sh1, sh2 in product(shapes, repeat=2):
-            if len(singles[sh1]) * len(singles[sh2]) > PRODUCT_CAP:
+            if len(generate(c, *sh1)) * len(generate(c, *sh2)) > PRODUCT_CAP:
                 continue
-            oracle = EnergyOracle(c, sh1, sh2)
             pairs += 1
-            for a in singles[sh1]:
-                for b in singles[sh2]:
-                    x = TensorElt((a, b))
-                    rx = comb_R(x)
-                    _need(rx.factors == oracle.R[(a, b)],
-                          "R differs from the oracle at %r", x)
-                    _need(local_H(x) == oracle.H[(a, b)],
-                          "H differs from the oracle at %r", x)
-                    _need(comb_R(rx) == x, "R^2 != id at %r", x)
-                    for i in c.nodes:
-                        fi = x.f(i)
-                        _need((None if fi is None else comb_R(fi)) == rx.f(i),
-                              "R does not commute with f_%d at %r", i, x)
-                        ei = x.e(i)
-                        _need((None if ei is None else comb_R(ei)) == rx.e(i),
-                              "R does not commute with e_%d at %r", i, x)
+            _check_pair_energy(c, sh1, sh2)
     yb = 0
     for n in (1, 2):
         c = CartanA(n)

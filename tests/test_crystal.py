@@ -4,9 +4,10 @@ from operator import sub
 import pytest
 
 from darkc.cartan import CartanA, cl_simple_root
-from darkc.crystal import (TensorElt, classical_highest_path, demazure_closure,
-                           eps, f_closure, graph_dot, graph_json, phi)
-from darkc.kr import generate, parse_tableau
+from darkc.crystal import (Codes, ModelConsistencyError, ProductTable, TensorElt,
+                           classical_highest_path, demazure_closure, eps, f_closure,
+                           graph_dot, graph_json, phi)
+from darkc.kr import KRTable, generate, parse_tableau
 from darkc.selftest import _axiom_families
 
 
@@ -100,9 +101,9 @@ def test_string_lengths():
     c = CartanA(2)
     families = [(c, list(generate(c, 2, 2)))]
     for c, space in _axiom_families():
-        if c.n > 2 or len(space.tables) == 1:
+        if c.n > 2 or not isinstance(space, ProductTable):
             continue
-        elts = [space.element(x) for x in space]
+        elts = [space.element(x) for x in range(len(space.wt))]
         family = list(elts)
         if c.n == 1 and len(elts[0].factors) == 3:
             family += [TensorElt((TensorElt(x.factors[:2]), x.factors[2]))
@@ -119,13 +120,19 @@ def test_string_lengths():
                 assert (up[x], down[x]) == (eps(x, i), phi(x, i)), (x, i)
 
 
+def _codes(space) -> Codes:
+    """The Codes over the KR factors of a criterion-1 family."""
+    return Codes(space.tables if isinstance(space, ProductTable) else (space,))
+
+
 def test_codes_match_tensor_elements():
-    # criteria 1 and 2 check the code operators, not TensorElt; here the two
-    # meet on every criterion-1 family at n <= 2
+    # build and the energy tables run on Codes; here the code operators meet
+    # TensorElt on every criterion-1 family at n <= 2
     checked = 0
     for c, space in _axiom_families():
         if c.n > 2:
             continue
+        space = _codes(space)
         rows = [space.node(i) for i in c.nodes]
         for x in space:
             b = space.element(x)
@@ -135,6 +142,41 @@ def test_codes_match_tensor_elements():
                 assert rows[i](x) == b.stats(i) + tuple(moved), (b, i)
             checked += 1
     assert checked > 10000
+
+
+def test_product_tables_match_codes():
+    # criteria 1, 2 and 8 read table arrays, build runs on Codes: the two meet
+    # at every position of all 370 criterion-1 families at every rank, with
+    # triples nested as B1 (x) (B2 (x) B3); codes iterate in position order
+    rows = 0
+    for c, space in _axiom_families():
+        codes = _codes(space)
+        position = {x: k for k, x in enumerate(codes)}
+        position[None] = -1
+        for k, x in enumerate(codes):
+            assert space.wt[k] == codes.weight(x)
+            assert space.pr[k] == position[tuple(t.pr[j] for t, j in zip(codes.tables, x))]
+            if isinstance(space, ProductTable):
+                assert space.element(k) == codes.element(x)
+        for i in c.nodes:
+            node = codes.node(i)
+            for k, x in enumerate(codes):
+                ep, ph, up, down = node(x)
+                assert (space.stats[i][k], space.e[i][k], space.f[i][k]) == \
+                    ((ep, ph), position[up], position[down]), (space.element(k), i)
+                rows += 1
+    assert rows == 228260  # 227,688 on products, 572 on the 157 tableaux
+
+
+@pytest.mark.parametrize("side", ["e", "f"])
+def test_a_dead_factor_fails_the_product_table(side):
+    # a fresh table, so the interned one stays intact; eps and phi are read
+    # before the arrows of node 1 are cut, so the rule still picks a factor
+    t = KRTable(CartanA(2), 1, 2)
+    t.stats
+    getattr(t, side)[1] = [-1] * len(t.elements)
+    with pytest.raises(ModelConsistencyError, match=f"dead factor for {side}"):
+        ProductTable(t, t)
 
 
 def test_f_closure_examples():
@@ -167,9 +209,9 @@ def test_classical_highest_path():
 
 
 def test_graph_exports_golden():
-    c = CartanA(1)
-    elements = {TensorElt((T,)) for T in generate(c, 1, 1)}
-    assert graph_dot(elements) == (
+    space = Codes((generate(CartanA(1), 1, 1)[0].table,))
+    codes = set(space)
+    assert graph_dot(space, codes) == (
         'digraph crystal {\n'
         '  rankdir=LR;\n'
         '  0 [label="1"];\n'
@@ -177,7 +219,7 @@ def test_graph_exports_golden():
         '  0 -> 1 [label="1"];\n'
         '  1 -> 0 [label="0"];\n'
         '}\n')
-    assert graph_json(elements) == {
+    assert graph_json(space, codes) == {
         "nodes": ["1", "2"],
         "edges": [{"src": 0, "dst": 1, "i": 1}, {"src": 1, "dst": 0, "i": 0}],
     }

@@ -1,16 +1,17 @@
-"""Criteria 1 and 2 run on the integer codes of `crystal.Codes`: they build no
-tensor objects per element, and they still catch a broken arrow in the tables
-that codes read."""
+"""Criteria 1, 2 and 8 run on the arrays of KR and product tables: criteria 1
+and 2 build no tensor objects per element, and all three still catch a broken
+arrow in a KR table."""
 
 from collections import Counter
 
 import pytest
 
+from darkc import energy, selftest
 from darkc.cartan import CartanA
-from darkc.crystal import TensorElt
+from darkc.crystal import ModelConsistencyError, TensorElt
 from darkc.kr import generate
-from darkc.selftest import (CheckFailure, _tensor_twists, criterion_axioms,
-                            criterion_twists)
+from darkc.selftest import (CheckFailure, EnergyOracle, _check_pair_energy, _tensor_twists,
+                            criterion_axioms, criterion_energy, criterion_twists)
 
 
 def test_code_criteria_build_no_tensor_or_weight_objects(monkeypatch):
@@ -30,9 +31,13 @@ def test_code_criteria_build_no_tensor_or_weight_objects(monkeypatch):
 
 def test_a_broken_arrow_fails_both_code_criteria(monkeypatch):
     # f_1 of "11" in B^{1,2} at n = 2 is "12"; pointing it at "13" breaks
-    # e_1 f_1 = id and the twist f equation in the arrays that codes read
-    table = generate(CartanA(2), 1, 2)[0].table
+    # e_1 f_1 = id, the twist f equation and R f_1 = f_1 R in the arrays
+    c = CartanA(2)
+    table = generate(c, 1, 2)[0].table
     table.stats, table.pr_powers, table.wt  # built from the intact arrows
+    monkeypatch.setattr(energy, "_TABLES", {})
+    oracle = EnergyOracle(c, (1, 1), (1, 2))
+    _check_pair_energy(c, (1, 1), (1, 2))  # fills the R/H tables of the pair
     broken = list(table.f[1])
     broken[table.index[(2, 0, 0)]] = table.index[(1, 0, 1)]  # row contents
     monkeypatch.setitem(table.f, 1, broken)
@@ -42,3 +47,11 @@ def test_a_broken_arrow_fails_both_code_criteria(monkeypatch):
         _tensor_twists()
     with pytest.raises(CheckFailure):
         criterion_twists()
+    # criterion 8's oracle walks the broken arrow too; with the oracle and the
+    # R/H tables from the intact arrows, the product arrays catch it
+    with pytest.raises(ModelConsistencyError, match="inconsistent local energy"):
+        criterion_energy()
+    monkeypatch.setattr(selftest, "EnergyOracle", lambda *args: oracle)
+    with pytest.raises(CheckFailure,
+                       match=r"R does not commute with f_1 at TensorElt.*'1'.*'11'"):
+        _check_pair_energy(c, (1, 1), (1, 2))
