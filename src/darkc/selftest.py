@@ -64,7 +64,9 @@ def _axiom_families():
         tables = {sh: generate(c, *sh)[0].table for sh in shapes}
         yield from ((c, tables[sh]) for sh in shapes)
         smallest = min(len(t.elements) for t in tables.values())
-        right = {(sh,): tables[sh] for sh in shapes}  # and the pairs inside triples
+        # right factors by shapes: the KR tables, and the pair tables small
+        # enough to sit inside a triple, kept so triples share them
+        right = {(sh,): tables[sh] for sh in shapes}
         for combo in chain(product(shapes, repeat=2), product(shapes, repeat=3)):
             size = prod(len(tables[sh].elements) for sh in combo)
             if size <= PRODUCT_CAP:
