@@ -7,8 +7,9 @@ A tensor product of KR crystals is held three ways, one for each job:
 - `Codes`, where an element is the tuple of its factors' positions in their
   tables and the signature rule folds over the tables' arrays per call, serve
   sparse closures (`dark.build`) and the energy tables;
-- `ProductTable`, a product enumerated once with KRTable's arrays over all its
-  positions, serves whole-product checks (selftest criteria 1, 2 and 8).
+- `ProductTable`, two tables' product enumerated once with KRTable's arrays by
+  the two-factor signature rule written out, serves whole-product checks
+  (selftest criteria 1, 2 and 8) and the energy oracle.
 
 The distinguished zero of a crystal is represented by None: crystal operators
 return None when they annihilate an element, and never raise.
@@ -47,8 +48,8 @@ def signature_rule(pairs) -> tuple[int, int, int | None, int | None]:
     cancels a later '-'.  Folded left to right, it returns (eps_i, phi_i, the
     factor of the rightmost uncancelled '-', the factor of the leftmost
     uncancelled '+'); a factor is None when no such sign is left.  TensorElt
-    passes its factors' stats(i); `Codes` and `ProductTable` pass reads of
-    their tables' stats[i] arrays."""
+    passes its factors' stats(i), `Codes` reads of its tables' stats[i]
+    arrays; `ProductTable` writes out the case of two factors."""
     ep = ph = k = 0
     up = down = None
     for eb, pb in pairs:
@@ -217,10 +218,13 @@ class ProductTable:
     KRTable or a ProductTable, enumerated as a crystal with KRTable's arrays:
     position x = a*len(right) + c is left[a] (x) right[c], so positions follow
     the canonical order.  For every node i, stats[i][x], e[i][x] and f[i][x]
-    come from one signature rule on (left.stats[i][a], right.stats[i][c]), -1
-    standing for 0; wt[x] is the sum of the factors' weights and pr[x] the
-    product of their promotions.  The rule is associative, so a triple is
-    ProductTable(B1, ProductTable(B2, B3)).  `tables` are the KR factors."""
+    (-1 for 0) are the signature rule on (e1, p1) = left.stats[i][a] and (e2,
+    p2) = right.stats[i][c] written out: (e1 + e2 - p1, p2) if e2 > p1, else
+    (e1, p1 + p2 - e2); e moves the right factor if e2 > p1, else the left if
+    e1 > 0; f the left if p1 > e2, else the right if p2 > 0.  wt[x] sums the
+    factors' weights, pr[x] is the product of their promotions.  The rule is
+    associative, so a triple is ProductTable(B1, ProductTable(B2, B3)).
+    `tables` are the KR factors."""
 
     def __init__(self, left, right):
         self.cartan = left.cartan
@@ -230,14 +234,18 @@ class ProductTable:
         self.pr = [a * n + c for a in left.pr for c in right.pr]
         self.stats, self.e, self.f = [], [], []
         for i in self.cartan.nodes:
+            _check_live(left, i)
+            _check_live(right, i)
+            cols = list(zip(range(n), right.stats[i], right.e[i], right.f[i]))
             stats, up, down = [], [], []
-            arrows = (left.e[i], right.e[i]), (left.f[i], right.f[i])
-            for a, sa in enumerate(left.stats[i]):
-                for c, sc in enumerate(right.stats[i]):
-                    ep, ph, k_up, k_down = signature_rule((sa, sc))
-                    stats.append((ep, ph))
-                    up.append(_pair_move(a, c, n, k_up, arrows[0], "e"))
-                    down.append(_pair_move(a, c, n, k_down, arrows[1], "f"))
+            for a, ((e1, p1), ua, da) in enumerate(zip(left.stats[i], left.e[i], left.f[i])):
+                x0, ua, da = a * n, ua * n, da * n
+                stats += [(e1 + e2 - p1, p2) if e2 > p1 else (e1, p1 + p2 - e2)
+                          for _, (e2, p2), _, _ in cols]
+                up += [x0 + uc if e2 > p1 else ua + c if e1 else -1
+                       for c, (e2, _), uc, _ in cols]
+                down += [da + c if p1 > e2 else x0 + dc if p2 else -1
+                         for c, (e2, p2), _, dc in cols]
             self.stats.append(stats)
             self.e.append(up)
             self.f.append(down)
@@ -251,15 +259,14 @@ class ProductTable:
         return TensorElt(reversed(factors))
 
 
-def _pair_move(a, c, n, k, arrows, side) -> int:
-    """The position of a (x) c with factor k (0 left, 1 right, None for no
-    factor) moved along its arrows, in a right factor of size n; -1 for 0."""
-    if k is None:
-        return -1
-    j = arrows[k][c if k else a]
-    if j < 0:
-        raise ModelConsistencyError(f"tensor rule chose a dead factor for {side}")
-    return j * n + c if k == 0 else a * n + j
+def _check_live(table, i: int) -> None:
+    """Raise if an element of table with eps_i or phi_i > 0 has no e_i or f_i
+    arrow: each finite i-string has two ends, so some pair's rule chooses it."""
+    for (ep, ph), up, down in zip(table.stats[i], table.e[i], table.f[i]):
+        if ep and up < 0:
+            raise ModelConsistencyError("tensor rule chose a dead factor for e")
+        if ph and down < 0:
+            raise ModelConsistencyError("tensor rule chose a dead factor for f")
 
 
 def f_closure(i: int, elements) -> set:
@@ -317,12 +324,18 @@ def crystal_edges(space: Codes, codes):
     return nodes, edges
 
 
+def _labels(space: Codes, nodes) -> list[str]:
+    """The elements' text for each code: one text per table position, joined."""
+    texts = [[b.text() for b in t.elements] for t in space.tables]
+    return ["|".join(map(getitem, texts, x)) for x in nodes]
+
+
 def graph_dot(space: Codes, codes) -> str:
     """The crystal graph of a set of codes of space in DOT, labelled by the
     elements' text."""
     nodes, edges = crystal_edges(space, codes)
     lines = ["digraph crystal {", "  rankdir=LR;"]
-    lines.extend(f'  {k} [label="{space.element(x).text()}"];' for k, x in enumerate(nodes))
+    lines.extend(f'  {k} [label="{label}"];' for k, label in enumerate(_labels(space, nodes)))
     lines.extend(f'  {s} -> {d} [label="{i}"];' for s, d, i in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -331,6 +344,6 @@ def graph_dot(space: Codes, codes) -> str:
 def graph_json(space: Codes, codes) -> dict:
     nodes, edges = crystal_edges(space, codes)
     return {
-        "nodes": [space.element(x).text() for x in nodes],
+        "nodes": _labels(space, nodes),
         "edges": [{"src": s, "dst": d, "i": i} for s, d, i in edges],
     }

@@ -15,9 +15,9 @@ classical component (Shimozono 2002):
 
 Pairs are raised and lowered by the signature rule of `crystal.Codes`, the
 one `dark.build` runs on, and `total_D` takes a code.  `comb_R` and `local_H`
-convert tensor elements at the boundary.  The breadth-first propagation of H
-over all arrows, which fills whole tables, is kept as the independent oracle
-`selftest.EnergyOracle`.
+convert tensor elements at the boundary.  The independent oracle
+`selftest.EnergyOracle` fills whole tables by breadth-first propagation of H
+over the arrays of `crystal.ProductTable`, sharing no tensor-rule code here.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ Criteria 1, 2 and 8 check whole products, so they read the arrays of the KR
 tables and of `crystal.ProductTable`, a triple being B1 (x) (B2 (x) B3):
 the axioms, the tensor twist equations, and R commuting with every e_i and
 f_i.  `build` runs on `crystal.Codes`, which the tests tie to these arrays.
-`TensorElt` serves the oracles, which share no code with the tables:
 `EnergyOracle`, which criterion 8 compares R and H of `energy.energy_table`
-with, and the Yang-Baxter check on `comb_R`.  It also names an element in a
-failure, built only then.  Criterion 2 checks promotion on the tableaux.
+with, walks the arrays of the pair's two product tables: no tensor-rule code
+is shared with `energy`, which folds `signature_rule` over `Codes`.  Criterion
+2 checks promotion on the tableaux, and `TensorElt` serves the Yang-Baxter
+check on `comb_R` and names an element in a failure, built only then.
 """
 
 from __future__ import annotations
@@ -343,59 +344,61 @@ class EnergyOracle:
     At the pair of classical highest elements R swaps the factors and H is 0.
     R commutes with every e_i and f_i.  Classical arrows preserve H, and a
     0-arrow shifts it by +1 / -1 when e_0 acts on the left / right factor both
-    before and after applying R.  Construction raises ModelConsistencyError
-    when two paths disagree or the search misses a pair."""
+    before and after applying R.  The search runs on the arrays of the pair's
+    two ProductTables.  Construction raises ModelConsistencyError when two
+    paths disagree or the search misses a pair."""
 
     def __init__(self, c: CartanA, shape_left, shape_right):
         left = generate(c, *shape_left)
         right = generate(c, *shape_right)
         u1, _ = classical_highest_path(left[0])
         u2, _ = classical_highest_path(right[0])
-        start = (u1, u2)
-        self.R = {start: (u2, u1)}
-        self.H = {start: 0}
+        n1, n2 = len(left), len(right)
+        pair = ProductTable(left[0].table, right[0].table)
+        swapped = ProductTable(right[0].table, left[0].table)
+        start = u1.pos * n2 + u2.pos
+        R, H = [-1] * (n1 * n2), [0] * (n1 * n2)  # R[x] < 0: x not reached yet
+        R[start], H[start] = u2.pos * n1 + u1.pos, 0
         queue = deque([start])
         while queue:
-            pair = queue.popleft()
-            x = TensorElt(pair)
-            rx = TensorElt(self.R[pair])
-            hx = self.H[pair]
+            x = queue.popleft()
+            rx, hx = R[x], H[x]
             for i in c.nodes:
-                up, r_up = x.e(i), rx.e(i)
-                down, r_down = x.f(i), rx.f(i)
-                if (up is None) != (r_up is None) or (down is None) != (r_down is None):
+                up, r_up = pair.e[i][x], swapped.e[i][rx]
+                down, r_down = pair.f[i][x], swapped.f[i][rx]
+                if (up < 0) != (r_up < 0) or (down < 0) != (r_down < 0):
                     raise ModelConsistencyError(f"R does not commute with node {i}")
-                if up is not None:
-                    hv = hx + (self._zero_step(x, up, rx, r_up) if i == 0 else 0)
-                    self._record(queue, up, r_up, hv)
-                if down is not None:
-                    hv = hx - (self._zero_step(down, x, r_down, rx) if i == 0 else 0)
-                    self._record(queue, down, r_down, hv)
-        if len(self.H) != len(left) * len(right):
+                if up >= 0:
+                    hv = hx + (self._zero_step(x, up, rx, r_up, n2, n1) if i == 0 else 0)
+                    self._record(queue, R, H, up, r_up, hv)
+                if down >= 0:
+                    hv = hx - (self._zero_step(down, x, r_down, rx, n2, n1) if i == 0 else 0)
+                    self._record(queue, R, H, down, r_down, hv)
+        if min(R) < 0:
             raise ModelConsistencyError("tensor product not connected by arrows")
+        self.R = {(A, B): (right[ry // n1], left[ry % n1])
+                  for (A, B), ry in zip(product(left, right), R)}
+        self.H = dict(zip(product(left, right), H))
 
     @staticmethod
-    def _zero_step(x, y, rx, ry) -> int:
-        """H(y) - H(x) for y = e_0 x, with rx = R(x) and ry = R(y)."""
-        left_here = y.factors[1] == x.factors[1]
-        left_r = ry.factors[1] == rx.factors[1]
-        if left_here and left_r:
-            return 1
-        if not left_here and not left_r:
-            return -1
+    def _zero_step(x, y, rx, ry, n2, n1) -> int:
+        """H(y) - H(x) for positions y = e_0 x, rx = R(x) and ry = R(y)."""
+        left_here = y % n2 == x % n2
+        left_r = ry % n1 == rx % n1
+        if left_here == left_r:
+            return 1 if left_here else -1
         return 0
 
-    def _record(self, queue, y, ry, hv):
-        pair = y.factors
-        if pair in self.H:
-            if self.H[pair] != hv:
+    @staticmethod
+    def _record(queue, R, H, y, ry, hv):
+        if R[y] >= 0:
+            if H[y] != hv:
                 raise ModelConsistencyError("inconsistent local energy assignment")
-            if self.R[pair] != ry.factors:
+            if R[y] != ry:
                 raise ModelConsistencyError("inconsistent R assignment")
         else:
-            self.R[pair] = ry.factors
-            self.H[pair] = hv
-            queue.append(pair)
+            R[y], H[y] = ry, hv
+            queue.append(y)
 
 
 def _check_pair_energy(c: CartanA, sh1, sh2) -> None:

@@ -114,7 +114,9 @@ def _word_window(m: int, letters) -> tuple[tuple[int, ...], bool]:
     """The window of the product of the letters, and whether the word is
     reduced: it is exactly when every letter is a right ascent of the product
     of the letters before it."""
-    win, reduced = identity(m).win, True
+    if m < 2:
+        raise ValueError("window must have length m >= 2")
+    win, reduced = tuple(range(1, m + 1)), True
     for i in letters:
         if not 0 <= i < m:
             raise IndexError(f"node {i} out of range for m = {m}")

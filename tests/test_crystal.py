@@ -168,15 +168,21 @@ def test_product_tables_match_codes():
     assert rows == 228260  # 227,688 on products, 572 on the 157 tableaux
 
 
-@pytest.mark.parametrize("side", ["e", "f"])
-def test_a_dead_factor_fails_the_product_table(side):
-    # a fresh table, so the interned one stays intact; eps and phi are read
-    # before the arrows of node 1 are cut, so the rule still picks a factor
-    t = KRTable(CartanA(2), 1, 2)
+@pytest.mark.parametrize("side, cut", [
+    pytest.param(side, cut, id=side if cut == "both" else f"{side}-{cut}")
+    for side in "ef" for cut in ("both", "left", "right")])
+def test_a_dead_factor_fails_the_product_table(side, cut):
+    # fresh tables, so the interned one stays intact; eps and phi are read
+    # before the arrows of node 1 are cut, so the rule still picks a factor.
+    # The table checks each factor's arrows on its own, so a cut on either
+    # side alone must fail too
+    c = CartanA(2)
+    t, intact = KRTable(c, 1, 2), KRTable(c, 1, 2)
     t.stats
     getattr(t, side)[1] = [-1] * len(t.elements)
+    left, right = {"both": (t, t), "left": (t, intact), "right": (intact, t)}[cut]
     with pytest.raises(ModelConsistencyError, match=f"dead factor for {side}"):
-        ProductTable(t, t)
+        ProductTable(left, right)
 
 
 def test_f_closure_examples():

@@ -8,7 +8,7 @@ from darkc.cartan import CartanA
 from darkc.crystal import Codes, TensorElt, classical_highest_path
 from darkc.energy import comb_R, local_H
 from darkc.kr import find_b_rs, generate, parse_tableau, parse_tensor
-from darkc.selftest import EnergyOracle
+from darkc.selftest import AXIOM_RANKS, PRODUCT_CAP, EnergyOracle, single_shapes
 
 
 def elt(n, text, r=None):
@@ -169,6 +169,25 @@ def test_r_and_h_match_the_plactic_oracle(n, sh1, sh2):
         P = insertion_tableau(tensor_word(x))
         assert insertion_tableau(tensor_word(comb_R(x))) == P, x
         assert local_H(x) == -sum(map(len, P[rows:])), x
+
+
+def test_the_oracle_meets_the_plactic_invariants_on_every_grid_pair():
+    # the oracle walks product table arrays and shares no code with energy:
+    # check its R and H against row insertion alone on criterion 8's pairs
+    pairs = 0
+    for n in AXIOM_RANKS:
+        c = CartanA(n)
+        for sh1, sh2 in product(single_shapes(n), repeat=2):
+            if len(generate(c, *sh1)) * len(generate(c, *sh2)) > PRODUCT_CAP:
+                continue
+            oracle = EnergyOracle(c, sh1, sh2)
+            rows = max(sh1[0], sh2[0])
+            for x, rx in oracle.R.items():
+                P = insertion_tableau(tensor_word(TensorElt(x)))
+                assert insertion_tableau(tensor_word(TensorElt(rx))) == P, x
+                assert oracle.H[x] == -sum(map(len, P[rows:])), x
+            pairs += 1
+    assert pairs == 76
 
 
 def test_total_d_computes_only_the_pairs_it_needs(monkeypatch):

@@ -20,6 +20,14 @@ def test_window_validation():
     ExtAffPerm((0, 3))  # shifted but valid
 
 
+@pytest.mark.parametrize("build", [lambda: from_word(1, ()), lambda: from_reduced_word(1, (0,)),
+                                   lambda: ExtAffPerm((1,))], ids=["word", "reduced", "window"])
+def test_rank_below_two_is_rejected_with_one_message(build):
+    # words build their window without an ExtAffPerm, so they check m first
+    with pytest.raises(ValueError, match=r"^window must have length m >= 2$"):
+        build()
+
+
 def test_simple_reflections_are_involutions():
     for m in (2, 3, 4):
         for i in range(m):
