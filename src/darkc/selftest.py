@@ -376,8 +376,7 @@ class EnergyOracle:
                     self._record(queue, R, H, down, r_down, hv)
         if min(R) < 0:
             raise ModelConsistencyError("tensor product not connected by arrows")
-        self.R = {(A, B): (right[ry // n1], left[ry % n1])
-                  for (A, B), ry in zip(product(left, right), R)}
+        self.R = {x: (right[ry // n1], left[ry % n1]) for x, ry in zip(product(left, right), R)}
         self.H = dict(zip(product(left, right), H))
 
     @staticmethod
