@@ -15,7 +15,7 @@ import sys
 
 from .cartan import CartanA
 from .charring import char_to_json
-from .crystal import Codes, ModelConsistencyError, graph_dot, graph_json
+from .crystal import Codes, ModelConsistencyError, graph_dot, graph_json, labels
 from .dark import (DarkSpec, FactorWord, build, dark_to_json, lhs_character,
                    rhs_character, verify_detail)
 from .energy import pair_energies, total_D
@@ -70,13 +70,13 @@ def _add_spec_flags(sub):
 
 
 def _cmd_build(args) -> int:
-    dark = build(_spec_from_args(args))
+    dark = build(_spec_from_args(args), graded=False)  # D is never printed
     if args.json:
         print(json.dumps(dark_to_json(dark), sort_keys=True))
     else:
         print(f"size={len(dark)}")
-        for b in dark.sorted_elements():
-            print(b.text())
+        for text in labels(dark.product, sorted(dark.energies)):
+            print(text)
     return 0
 
 
@@ -113,7 +113,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    dark = build(_spec_from_args(args))
+    dark = build(_spec_from_args(args), graded=False)
     json_path = args.json_path
     if args.json and json_path is None:
         json_path = "-"

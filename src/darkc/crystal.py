@@ -4,12 +4,16 @@ A tensor product of KR crystals is held three ways, one for each job:
 
 - `TensorElt` objects serve the boundary (parsing, printing, export labels)
   and the oracles;
-- `Codes`, where an element is the tuple of its factors' positions in their
-  tables and the signature rule folds over the tables' arrays per call, serve
-  sparse closures (`dark.build`) and the energy tables;
+- `Codes`, where an element is one int, its position in canonical order, and
+  B_1 (x) ... (x) B_p is the two-factor product B_1 (x) P of the first table
+  and the table of the rest, serve sparse closures (`dark.build`), the energy
+  tables and the exports;
 - `ProductTable`, two tables' product enumerated once with KRTable's arrays by
   the two-factor signature rule written out, serves whole-product checks
-  (selftest criteria 1, 2 and 8) and the energy oracle.
+  (selftest criteria 1, 2 and 8), the energy oracle and P inside `Codes`.
+
+The rule is associative (Kashiwara; Bump-Schilling, Crystal Bases, ch. 2), so
+both give an element the same position: x = a*len(P) + c for left[a] (x) P[c].
 
 The distinguished zero of a crystal is represented by None: crystal operators
 return None when they annihilate an element, and never raise.
@@ -17,13 +21,17 @@ return None when they annihilate an element, and never raise.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from math import prod
 from operator import add, getitem
 
 
 class ModelConsistencyError(RuntimeError):
     """The combinatorial model produced contradictory data (a bug, not bad input)."""
+
+
+def _dead(side: str) -> ModelConsistencyError:
+    return ModelConsistencyError(f"tensor rule chose a dead factor for {side}")
 
 
 # eps, phi and TensorElt.e/f keep no cache keyed by element (maxsize=0): on a
@@ -48,8 +56,8 @@ def signature_rule(pairs) -> tuple[int, int, int | None, int | None]:
     cancels a later '-'.  Folded left to right, it returns (eps_i, phi_i, the
     factor of the rightmost uncancelled '-', the factor of the leftmost
     uncancelled '+'); a factor is None when no such sign is left.  TensorElt
-    passes its factors' stats(i), `Codes` reads of its tables' stats[i]
-    arrays; `ProductTable` writes out the case of two factors."""
+    passes its factors' stats(i), `kr.KRTable` the rows of a tableau;
+    `Codes` and `ProductTable` write out the case of two factors."""
     ep = ph = k = 0
     up = down = None
     for eb, pb in pairs:
@@ -119,7 +127,7 @@ class TensorElt:
             return None
         b = self.factors[idx].e(i)
         if b is None:
-            raise ModelConsistencyError("tensor rule chose a dead factor for e")
+            raise _dead("e")
         return TensorElt(self.factors[:idx] + (b,) + self.factors[idx + 1:])
 
     @lru_cache(maxsize=0)
@@ -129,7 +137,7 @@ class TensorElt:
             return None
         b = self.factors[idx].f(i)
         if b is None:
-            raise ModelConsistencyError("tensor rule chose a dead factor for f")
+            raise _dead("f")
         return TensorElt(self.factors[:idx] + (b,) + self.factors[idx + 1:])
 
     def clweight(self) -> tuple[int, ...]:
@@ -145,68 +153,132 @@ class TensorElt:
         return "|".join(b.text() for b in self.factors)
 
 
-def _move(x, k, arrows, side):
-    """x with factor k moved along its table's array; None for no factor k."""
-    if k is None:
-        return None
-    j = arrows[k][x[k]]
-    if j < 0:
-        raise ModelConsistencyError(f"tensor rule chose a dead factor for {side}")
-    return x[:k] + (j,) + x[k + 1:]
+def _positions(tables, x: int) -> tuple[int, ...]:
+    """The positions in tables of the factors of the product position x."""
+    out = []
+    for t in reversed(tables[1:]):
+        x, k = divmod(x, len(t.elements))
+        out.append(k)
+    out.append(x)
+    return tuple(reversed(out))
+
+
+class _Unit:
+    """The one-element crystal, the empty tensor product: the right factor of
+    a single table in `Codes`, with weight 0 and no arrows."""
+
+    def __init__(self, c):
+        self.wt = [(0,) * c.m]
+        self.stats, self.e, self.f = [[(0, 0)]] * c.m, [[-1]] * c.m, [[-1]] * c.m
+        self.pr_powers = [[0]] * c.m  # pr^k for k = 0, ..., n
 
 
 class Codes:
-    """The tensor product of the KR crystals of some tables, with an element
-    coded as the tuple of its factors' positions in them.  Positions follow
-    each table's canonical order, so codes sort as their elements do.
-    `dark.build` and `energy.EnergyTable` run on codes; the tests tie them to
-    the arrays of `ProductTable`, which the selftest checks."""
+    """The tensor product left (x) P of the KR crystals of some tables, left
+    the first and P the product of the others (the KR table for two, else a
+    ProductTable, and the one-element _Unit for one table), with an element
+    coded as one int: its position x = a*len(P) + c in canonical order, the
+    position that ProductTable gives it, so codes sort as their elements do.
+    e_i and f_i are Kashiwara's rule for two factors on (e1, p1) =
+    left.stats[i][a] and (e2, p2) = P.stats[i][c], as ProductTable writes it
+    out, then one read of the chosen factor's e[i] or f[i]; a chosen factor
+    that its array kills is a ModelConsistencyError.  `dark.build` passes P,
+    built once per level; otherwise it is built here on first use, so coding
+    and decoding need no P.  The tests tie codes to TensorElt and to
+    ProductTable at every position."""
 
-    def __init__(self, tables):
+    def __init__(self, tables, right=None):
         self.tables = tuple(tables)
+        self.left = self.tables[0]
+        self.width = prod(len(t.elements) for t in self.tables[1:])  # len(P)
+        if right is not None:
+            self.right = right
         self._elements = [t.elements for t in self.tables]
-        self._wts = [t.wt for t in self.tables]
+
+    @cached_property
+    def right(self):
+        if len(self.tables) == 1:
+            return _Unit(self.left.cartan)
+        right = self.tables[-1]
+        for t in reversed(self.tables[1:-1]):
+            right = ProductTable(t, right)
+        return right
+
+    def __len__(self):
+        return len(self.left.elements) * self.width
 
     def __iter__(self):
         """Every code, in canonical order."""
-        return product(*(range(len(t.elements)) for t in self.tables))
-
-    def node(self, i: int):
-        """x -> (eps_i, phi_i, e_i x, f_i x) on codes: one fold of the signature
-        rule over reads of the tables' stats[i], then one read of the e[i] and
-        f[i] arrays of the factors it chose, each None where the operator gives
-        0.  A chosen factor that its array kills is a ModelConsistencyError."""
-        stats = [t.stats[i] for t in self.tables]
-        ups = [t.e[i] for t in self.tables]
-        downs = [t.f[i] for t in self.tables]
-
-        def row(x):
-            ep, ph, up, down = signature_rule(map(getitem, stats, x))
-            return ep, ph, _move(x, up, ups, "e"), _move(x, down, downs, "f")
-        return row
+        return iter(range(len(self)))
 
     def f(self, i: int):
-        """x -> f_i x, the f half of `node`: the same fold and move, without the
-        e read that `build` does not need."""
-        stats = [t.stats[i] for t in self.tables]
-        downs = [t.f[i] for t in self.tables]
-        return lambda x: _move(x, signature_rule(map(getitem, stats, x))[3], downs, "f")
+        """x -> f_i x, or None: the left factor moves if p1 > e2, else P if p2 > 0."""
+        s1, d1 = self.left.stats[i], self.left.f[i]
+        s2, d2, n = self.right.stats[i], self.right.f[i], self.width
 
-    def weight(self, x) -> tuple[int, ...]:
-        """The classical weight of a nonempty code x, read off the tables' wt."""
-        wts = map(getitem, self._wts, x)
-        w = next(wts)
-        for v in wts:
-            w = tuple(map(add, w, v))
-        return w
+        def step(x):
+            a, c = divmod(x, n)
+            e2, p2 = s2[c]
+            if s1[a][1] > e2:
+                y = d1[a]
+                if y < 0:
+                    raise _dead("f")
+                return y * n + c
+            if p2:
+                y = d2[c]
+                if y < 0:
+                    raise _dead("f")
+                return x - c + y
+            return None
+        return step
 
-    def element(self, x) -> TensorElt:
-        return TensorElt(tuple(map(getitem, self._elements, x)))
+    def e(self, i: int):
+        """x -> e_i x, or None: P moves if e2 > p1, else the left factor if e1 > 0."""
+        s1, u1 = self.left.stats[i], self.left.e[i]
+        s2, u2, n = self.right.stats[i], self.right.e[i], self.width
 
-    def code(self, b: TensorElt) -> tuple[int, ...]:
+        def step(x):
+            a, c = divmod(x, n)
+            e1, p1 = s1[a]
+            if s2[c][0] > p1:
+                y = u2[c]
+                if y < 0:
+                    raise _dead("e")
+                return x - c + y
+            if e1:
+                y = u1[a]
+                if y < 0:
+                    raise _dead("e")
+                return y * n + c
+            return None
+        return step
+
+    def node(self, i: int):
+        """x -> (eps_i, phi_i, e_i x, f_i x): the stats (e1 + e2 - p1, p2) if
+        e2 > p1, else (e1, p1 + p2 - e2), and the moves of `e` and `f`."""
+        up, down, n = self.e(i), self.f(i), self.width
+        s1, s2 = self.left.stats[i], self.right.stats[i]
+
+        def row(x):
+            (e1, p1), (e2, p2) = s1[x // n], s2[x % n]
+            ep, ph = (e1 + e2 - p1, p2) if e2 > p1 else (e1, p1 + p2 - e2)
+            return ep, ph, up(x), down(x)
+        return row
+
+    def factors(self, x: int) -> tuple[int, ...]:
+        """The positions of the factors of x in their tables."""
+        return _positions(self.tables, x)
+
+    def element(self, x: int) -> TensorElt:
+        return TensorElt(tuple(map(getitem, self._elements, self.factors(x))))
+
+    def code(self, b: TensorElt) -> int:
         if any(a.table is not t for a, t in zip(b.factors, self.tables, strict=True)):
             raise ValueError(f"{b.text()} is not in {' (x) '.join(t.name for t in self.tables)}")
-        return tuple(a.pos for a in b.factors)
+        x = 0
+        for a, t in zip(b.factors, self.tables):
+            x = x * len(t.elements) + a.pos
+        return x
 
 
 def _factor_tables(table) -> tuple:
@@ -222,12 +294,13 @@ class ProductTable:
     p2) = right.stats[i][c] written out: (e1 + e2 - p1, p2) if e2 > p1, else
     (e1, p1 + p2 - e2); e moves the right factor if e2 > p1, else the left if
     e1 > 0; f the left if p1 > e2, else the right if p2 > 0.  wt[x] sums the
-    factors' weights, pr[x] is the product of their promotions.  The rule is
-    associative, so a triple is ProductTable(B1, ProductTable(B2, B3)).
-    `tables` are the KR factors."""
+    factors' weights, pr[x] and pr_powers[k][x] are the products of their
+    promotions.  The rule is associative, so a triple is
+    ProductTable(B1, ProductTable(B2, B3)).  `tables` are the KR factors."""
 
     def __init__(self, left, right):
         self.cartan = left.cartan
+        self.left, self.right = left, right
         self.tables = _factor_tables(left) + _factor_tables(right)
         n = len(right.wt)
         self.wt = [tuple(map(add, u, v)) for u in left.wt for v in right.wt]
@@ -250,13 +323,16 @@ class ProductTable:
             self.e.append(up)
             self.f.append(down)
 
+    @cached_property
+    def pr_powers(self) -> list[list[int]]:
+        """pr^k for k = 0, ..., n, from the factors' pr^k."""
+        n = len(self.right.wt)
+        return [[a * n + c for a in left for c in right]
+                for left, right in zip(self.left.pr_powers, self.right.pr_powers)]
+
     def element(self, x: int) -> TensorElt:
         """Position x as the flat tensor of its KR factors."""
-        factors = []
-        for t in reversed(self.tables):
-            x, k = divmod(x, len(t.elements))
-            factors.append(t.elements[k])
-        return TensorElt(reversed(factors))
+        return TensorElt(t.elements[k] for t, k in zip(self.tables, _positions(self.tables, x)))
 
 
 def _check_live(table, i: int) -> None:
@@ -264,9 +340,9 @@ def _check_live(table, i: int) -> None:
     arrow: each finite i-string has two ends, so some pair's rule chooses it."""
     for (ep, ph), up, down in zip(table.stats[i], table.e[i], table.f[i]):
         if ep and up < 0:
-            raise ModelConsistencyError("tensor rule chose a dead factor for e")
+            raise _dead("e")
         if ph and down < 0:
-            raise ModelConsistencyError("tensor rule chose a dead factor for f")
+            raise _dead("f")
 
 
 def f_closure(i: int, elements) -> set:
@@ -324,10 +400,16 @@ def crystal_edges(space: Codes, codes):
     return nodes, edges
 
 
-def _labels(space: Codes, nodes) -> list[str]:
-    """The elements' text for each code: one text per table position, joined."""
+def factor_texts(space: Codes, codes) -> list[list[str]]:
+    """The texts of the factors of each code, each table position's text made
+    once per call."""
     texts = [[b.text() for b in t.elements] for t in space.tables]
-    return ["|".join(map(getitem, texts, x)) for x in nodes]
+    return [list(map(getitem, texts, space.factors(x))) for x in codes]
+
+
+def labels(space: Codes, codes) -> list[str]:
+    """The element's text for each code, its factors' texts joined."""
+    return ["|".join(parts) for parts in factor_texts(space, codes)]
 
 
 def graph_dot(space: Codes, codes) -> str:
@@ -335,7 +417,7 @@ def graph_dot(space: Codes, codes) -> str:
     elements' text."""
     nodes, edges = crystal_edges(space, codes)
     lines = ["digraph crystal {", "  rankdir=LR;"]
-    lines.extend(f'  {k} [label="{label}"];' for k, label in enumerate(_labels(space, nodes)))
+    lines.extend(f'  {k} [label="{label}"];' for k, label in enumerate(labels(space, nodes)))
     lines.extend(f'  {s} -> {d} [label="{i}"];' for s, d, i in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -344,6 +426,6 @@ def graph_dot(space: Codes, codes) -> str:
 def graph_json(space: Codes, codes) -> dict:
     nodes, edges = crystal_edges(space, codes)
     return {
-        "nodes": _labels(space, nodes),
+        "nodes": labels(space, nodes),
         "edges": [{"src": s, "dst": d, "i": i} for s, d, i in edges],
     }

@@ -9,11 +9,12 @@ operator formula up to one global shift e^{C delta}; verify fits C and tests
 the match exactly.
 
 `build` works on integer codes (`crystal.Codes`): an element of
-B_1 (x) ... (x) B_p is the tuple of its factors' positions in their KRTables,
-f_i is the signature rule over the tables' arrays, and the twist is a read of
-their promotion powers.  The final set keeps its energy D with each code.  D is constant on
-classical components: the local energy H is classically invariant and the
-R-matrix commutes with the classical e_i and f_i (Shimozono 2002;
+B_j (x) ... (x) B_p is one int, its position a*len(P) + c in canonical order,
+where P = B_{j+1} (x) ... (x) B_p is one table built once per level.  f_i is
+Kashiwara's rule for the two factors B_j and P, and the twist is a read of P's
+promotion powers.  The final set keeps its energy D with each code.  D is
+constant on classical components: the local energy H is classically invariant
+and the R-matrix commutes with the classical e_i and f_i (Shimozono 2002;
 Schilling-Tingley, arXiv:1104.2359).  So a closure step along a classical
 letter copies D from its source, and only the seeds b (x) twist(x) and the
 elements first reached by f_0 take a total_D walk, which runs on the code
@@ -28,12 +29,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from operator import getitem
+from itertools import chain, product
+from operator import mul
 
 from .cartan import CartanA, aff_level_zero, delta_weight, fundamental_weight
 from .charring import CharPoly, fit_delta_shift, rhs_formula
-from .crystal import Codes, TensorElt
+from .crystal import Codes, ModelConsistencyError, ProductTable, TensorElt, factor_texts
 from .energy import total_D
 from .kr import find_b_rs, generate
 from .weyl import (all_reduced_words, bruhat_lower_interval, from_reduced_word,
@@ -124,7 +125,8 @@ def validate(spec: DarkSpec) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DarkSet:
-    """A DARK set as codes over `product`, each mapped to its energy D."""
+    """A DARK set as codes over `product`, each mapped to its energy D (None
+    throughout when built with graded=False).  Codes sort in canonical order."""
 
     spec: DarkSpec
     product: Codes
@@ -141,10 +143,12 @@ class DarkSet:
         return [self.product.element(x) for x in sorted(self.energies)]
 
 
-def _close(space: Codes, letters, energies: dict, walk) -> dict:
-    """F_{i_1}(... F_{i_k}(S)) on a {code: D} map, innermost letter last.  D
-    is constant on classical components, so a step along a classical f_i
-    copies D from its source; an element first reached by f_0 gets walk(it)."""
+def _close(space: Codes, letters, seeds, walk) -> dict:
+    """F_{i_1}(... F_{i_k}(S)) on codes, innermost letter last, as a {code: D}
+    map with D = walk(seed) at each seed.  D is constant on classical
+    components, so a step along a classical f_i copies D from its source; an
+    element first reached by f_0 gets walk(it)."""
+    energies = {y: walk(y) for y in seeds}
     for i in reversed(letters):
         f = space.f(i)
         frontier = list(energies)
@@ -159,26 +163,33 @@ def _close(space: Codes, letters, energies: dict, walk) -> dict:
     return energies
 
 
-def build(spec: DarkSpec) -> DarkSet:
+def build(spec: DarkSpec, graded: bool = True) -> DarkSet:
     """Right-to-left evaluation of the nested closure/twist construction on
     codes.  Only the outermost closure, the final set, needs D: its seeds and
-    its elements first reached by f_0 get one total_D walk each."""
+    its elements first reached by f_0 get one total_D walk each.  With
+    graded=False no walk is made and every D is None, for callers that read
+    only the elements."""
     validate(spec)
-    return _build(spec, total_D)
+    return _build(spec, total_D if graded else None)
 
 
 def _build(spec: DarkSpec, grade) -> DarkSet:
-    """build on a valid spec, with D(x) = grade(space, x) for each walk."""
+    """build on a valid spec, with D(x) = grade(space, x) for each walk, or
+    None throughout when grade is None.  Level j closes in B_j (x) P, P the
+    table of the factors right of j, built once, right to left; a seed is
+    b^{r_j,s_j} (x) pr^{r_j} of an element of the level before."""
     c = spec.cartan
     dist = [find_b_rs(c, rj, sj) for rj, sj in zip(spec.r, spec.lam)]
     tables = [b.table for b in dist]
-    energies = {(): None}  # the one element of the empty tensor product
+    energies = {0: None}  # the one element of the empty tensor product
+    inner = None  # the table of the factors right of level j, None for none
     for j in range(spec.p - 1, -1, -1):
-        space = Codes(tables[j:])
-        twist = [t.pr_powers[spec.r[j] % c.m] for t in tables[j + 1:]]  # tau_r = r
-        walk = (lambda x: grade(space, x)) if j == 0 else (lambda x: None)
-        seeds = ((dist[j].pos,) + tuple(map(getitem, twist, x)) for x in energies)
-        energies = _close(space, spec.words[j].letters, {y: walk(y) for y in seeds}, walk)
+        space = Codes(tables[j:], inner)
+        walk = (lambda x: grade(space, x)) if j == 0 and grade is not None else (lambda x: None)
+        x0, twist = dist[j].pos * space.width, space.right.pr_powers[spec.r[j] % c.m]  # tau_r = r
+        energies = _close(space, spec.words[j].letters, [x0 + twist[x] for x in energies], walk)
+        if j:
+            inner = tables[j] if inner is None else ProductTable(tables[j], inner)
     return DarkSet(spec, space, energies)
 
 
@@ -196,7 +207,7 @@ def well_definedness_check(spec: DarkSpec, cap: int = 10) -> bool:
         choices.append([FactorWord(a, b) for a in sorted(pv) for b in sorted(wv)])
     reference = None
     for combo in product(*choices):
-        got = _build(DarkSpec(c, spec.lam, spec.r, combo), lambda space, x: None).energies.keys()
+        got = _build(DarkSpec(c, spec.lam, spec.r, combo), None).energies.keys()
         if reference is None:
             reference = got
         elif got != reference:
@@ -209,10 +220,44 @@ def lhs_character(spec: DarkSpec, dark: DarkSet) -> CharPoly:
     i.e. the energy-adjusted character without the unknown e^{C delta}."""
     c = spec.cartan
     base = spec.lam[0] * fundamental_weight(c, 0)
-    counts = Counter(zip(map(dark.product.weight, dark.energies), dark.energies.values()))
     delta = delta_weight(c)
-    return CharPoly({base + aff_level_zero(c, wt) - d * delta: k
-                     for (wt, d), k in counts.items()})
+    counts = _weight_counts(dark.product, dark.energies)
+    # one affine weight per distinct wt and per distinct D, one sum per pair
+    level = {wt: base + aff_level_zero(c, wt) for wt in {wt for wt, _ in counts}}
+    shift = {d: d * delta for d in {d for _, d in counts}}
+    return CharPoly({level[wt] - shift[d]: k for (wt, d), k in counts.items()})
+
+
+def _weight_counts(space: Codes, energies: dict) -> dict:
+    """{(wt, D): count} over a {code: D} map.  One table: wt is read off it.
+    Otherwise each code x = a*len(P) + c gets one int key, the left factor's
+    packed weight plus P's, and each distinct key is unpacked once.  A digit
+    holds a coordinate plus `bound`, the boxes of all factors, and a weight
+    coordinate of B^{r,s} lies within r*s of 0, so a digit of the sum never
+    carries; a table whose weights break that bound raises instead."""
+    left, right = space.left, space.right
+    if len(space.tables) == 1:
+        return Counter(zip(map(left.wt.__getitem__, energies), energies.values()))
+    bound = sum(r * s for r, s in (t.shape for t in space.tables))
+    bits = (2 * bound).bit_length()
+    reach = max(map(abs, chain.from_iterable(left.wt)))
+    reach += max(map(abs, chain.from_iterable(right.wt)))
+    if reach > bound:
+        raise ModelConsistencyError(
+            f"weight coordinates reach {reach}, beyond the box count {bound}")
+
+    shifts = range(0, bits * len(left.wt[0]), bits)
+    radix = [1 << k for k in shifts]
+    offset = bound * sum(radix)
+    keys_left = [sum(map(mul, w, radix)) + offset for w in left.wt]
+    keys_right = [sum(map(mul, w, radix)) for w in right.wt]
+    n = space.width
+    keys = (keys_left[x // n] + keys_right[x % n] for x in energies)
+    counts = Counter(zip(keys, energies.values()))
+    mask = (1 << bits) - 1
+    weights = {key: tuple((key >> k & mask) - bound for k in shifts)
+               for key in {key for key, _ in counts}}
+    return {(weights[key], d): count for (key, d), count in counts.items()}
 
 
 def rhs_character(spec: DarkSpec) -> CharPoly:
@@ -287,7 +332,7 @@ def dark_to_json(dark: DarkSet) -> dict:
         "words": [{"prefix": list(fw.prefix), "word": list(fw.word)}
                   for fw in spec.words],
         "size": len(dark),
-        "elements": [[f.text() for f in b.factors] for b in dark.sorted_elements()],
+        "elements": factor_texts(dark.product, sorted(dark.energies)),
     }
 
 

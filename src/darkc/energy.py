@@ -13,14 +13,16 @@ classical component (Shimozono 2002):
   max(r, r')) for rectangles with r and r' rows.  So H = 0 on the pair of
   classical highest elements.
 
-Pairs are raised and lowered by the signature rule of `crystal.Codes`, the
-one `dark.build` runs on, and `total_D` takes a code.  `comb_R` and `local_H`
+Pairs are raised and lowered on the int codes of `crystal.Codes`, the ones
+`dark.build` runs on, and `total_D` takes such a code.  `comb_R` and `local_H`
 convert tensor elements at the boundary.  The independent oracle
 `selftest.EnergyOracle` fills whole tables by breadth-first propagation of H
 over the arrays of `crystal.ProductTable`, sharing no tensor-rule code here.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .cartan import CartanA
 from .crystal import Codes, ModelConsistencyError, TensorElt
@@ -50,59 +52,64 @@ class EnergyTable:
         if set(highest) != set(swapped):
             raise ModelConsistencyError("highest weights of swapped pair differ")
         rows = max(shape_left[0], shape_right[0])
-        self.R = {u: swapped[w] for w, u in highest.items()}
-        self.H = {u: -sum(_content(self.pair, u)[rows:]) for u in highest.values()}
+        self.R = {(0, u): (0, swapped[w]) for w, u in highest.items()}
+        self.H = {(0, u): -sum(_content(self.pair, u)[rows:]) for u in highest.values()}
 
     def _hw_by_weight(self, space: Codes) -> dict:
-        """Classical highest elements of a pair by weight.  Their left factor
-        is the highest element of its table, position 0 (contents sort with
-        more 1s first, so its row a holds only a+1): its '-' signs come first,
-        so nothing can cancel them, and only the pairs (0, b) are scanned."""
-        nodes = [space.node(i) for i in self.cartan.classical_nodes]
+        """Classical highest elements of a pair by weight, as codes.  Their
+        left factor is the highest element of its table, position 0 (contents
+        sort with more 1s first, so its row a holds only a+1): its '-' signs
+        come first, so nothing can cancel them, and only the codes b of the
+        pairs (0, b) are scanned."""
+        ups = [space.e(i) for i in self.cartan.classical_nodes]
+        top = space.left.wt[0]
         out = {}
-        for b in range(len(space.tables[1].elements)):
-            x = (0, b)
-            if all(node(x)[0] == 0 for node in nodes):
-                w = space.weight(x)
+        for b, v in enumerate(space.right.wt):
+            if all(up(b) is None for up in ups):
+                w = tuple(map(add, top, v))
                 if w in out:
                     raise ModelConsistencyError(
                         "classical multiplicity in a rectangle pair")
-                out[w] = x
+                out[w] = b
         return out
 
     def entry(self, a: int, b: int) -> tuple[tuple[int, int], int]:
         """(R(a (x) b) as a position pair, H(a (x) b)).  A new pair is raised
         along classical nodes, smallest index first, until it meets a known
         entry; R is carried back down the same word and H is copied, which
-        sets the entry of every pair on the way."""
+        sets the entry of every pair on the way.  The walk runs on the codes
+        of the pair and of the swapped pair."""
         key = (a, b)
         if key not in self.H:
-            x, steps = key, []
-            up = [(i, self.pair.node(i)) for i in self.cartan.classical_nodes]
-            while x not in self.H:
-                for i, node in up:
-                    y = node(x)[2]
+            n = self.pair.width
+            x, steps = a * n + b, []
+            ups = [(i, self.pair.e(i)) for i in self.cartan.classical_nodes]
+            while (pair := divmod(x, n)) not in self.H:
+                for i, up in ups:
+                    y = up(x)
                     if y is not None:
-                        steps.append((x, i))
+                        steps.append((pair, i))
                         x = y
                         break
                 else:
                     raise ModelConsistencyError("highest element missed by the scan")
-            img, h = self.R[x], self.H[x]
+            (ra, rb), h = self.R[pair], self.H[pair]
+            n = self.swapped.width
+            img = ra * n + rb
             for pair, i in reversed(steps):
                 img = self.swapped.f(i)(img)
                 if img is None:
                     raise ModelConsistencyError("R transport left the crystal")
-                self.R[pair] = img
+                self.R[pair] = divmod(img, n)
                 self.H[pair] = h
         return self.R[key], self.H[key]
 
 
-def _content(space: Codes, x) -> list[int]:
+def _content(space: Codes, x: int) -> list[int]:
     """How often each letter occurs in the element of code x; a partition
     when x is classical highest."""
     return [sum(col) for col in zip(*(t.elements[k].content()
-                                      for t, k in zip(space.tables, x)))]
+                                      for t, k in zip(space.tables, space.factors(x))))]
 
 
 def energy_table(c: CartanA, shape_left, shape_right) -> EnergyTable:
@@ -123,19 +130,20 @@ def _pair_entry(x: TensorElt) -> tuple[EnergyTable, tuple[tuple[int, int], int]]
 def comb_R(x: TensorElt) -> TensorElt:
     """The combinatorial R-matrix image in the swapped product."""
     table, (img, _) = _pair_entry(x)
-    return table.swapped.element(img)
+    return TensorElt(t.elements[k] for t, k in zip(table.swapped.tables, img))
 
 
 def local_H(x: TensorElt) -> int:
     return _pair_entry(x)[1][1]
 
 
-def pair_energies(space: Codes, x) -> list[tuple[int, int, int]]:
+def pair_energies(space: Codes, x: int) -> list[tuple[int, int, int]]:
     """(i, j, H) for each pair of factor positions i < j of the code x over
     space, counted from 0: H(b_i, b_j pulled next to b_i), moving factor j
     left with successive R applications."""
     tables = space.tables
     c = tables[0].cartan
+    x = space.factors(x)
     out = []
     for i in range(len(x)):
         for j in range(i + 1, len(x)):
@@ -146,7 +154,7 @@ def pair_energies(space: Codes, x) -> list[tuple[int, int, int]]:
     return out
 
 
-def total_D(space: Codes, x) -> int:
+def total_D(space: Codes, x: int) -> int:
     """Total energy of the code x over space: the sum of pair_energies.
     Rectangle crystals are classically irreducible, so there are no
     single-factor terms."""

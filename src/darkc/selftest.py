@@ -10,7 +10,7 @@ the axioms, the tensor twist equations, and R commuting with every e_i and
 f_i.  `build` runs on `crystal.Codes`, which the tests tie to these arrays.
 `EnergyOracle`, which criterion 8 compares R and H of `energy.energy_table`
 with, walks the arrays of the pair's two product tables: no tensor-rule code
-is shared with `energy`, which folds `signature_rule` over `Codes`.  Criterion
+is shared with `energy`, which moves pairs by the rule of `Codes`.  Criterion
 2 checks promotion on the tableaux, and `TensorElt` serves the Yang-Baxter
 check on `comb_R` and names an element in a failure, built only then.
 """

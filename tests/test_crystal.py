@@ -1,5 +1,5 @@
 from itertools import product
-from operator import sub
+from operator import add, getitem, sub
 
 import pytest
 
@@ -125,18 +125,31 @@ def _codes(space) -> Codes:
     return Codes(space.tables if isinstance(space, ProductTable) else (space,))
 
 
+def _fold_weight(space: Codes, x) -> tuple[int, ...]:
+    """The weight of code x as one tuple add per factor over the KR tables'
+    wt, apart from the two-level split that Codes and lhs_character use."""
+    wts = map(getitem, (t.wt for t in space.tables), space.factors(x))
+    w = next(wts)
+    for v in wts:
+        w = tuple(map(add, w, v))
+    return w
+
+
 def test_codes_match_tensor_elements():
     # build and the energy tables run on Codes; here the code operators meet
-    # TensorElt on every criterion-1 family at n <= 2
+    # TensorElt on every criterion-1 family at n <= 2, and so does the weight
+    # as lhs_character splits it, left factor plus the table of the rest
     checked = 0
     for c, space in _axiom_families():
         if c.n > 2:
             continue
         space = _codes(space)
         rows = [space.node(i) for i in c.nodes]
+        right = space.right.wt
         for x in space:
             b = space.element(x)
-            assert space.weight(x) == b.clweight()
+            a, k = divmod(x, space.width)
+            assert tuple(map(add, space.left.wt[a], right[k])) == b.clweight()
             for i in c.nodes:
                 moved = (None if y is None else space.code(y) for y in (b.e(i), b.f(i)))
                 assert rows[i](x) == b.stats(i) + tuple(moved), (b, i)
@@ -144,26 +157,41 @@ def test_codes_match_tensor_elements():
     assert checked > 10000
 
 
+def _encode(tables, positions) -> int:
+    """The product position of factor positions, in mixed radix."""
+    x = 0
+    for t, k in zip(tables, positions):
+        x = x * len(t.elements) + k
+    return x
+
+
 def test_product_tables_match_codes():
     # criteria 1, 2 and 8 read table arrays, build runs on Codes: the two meet
-    # at every position of all 370 criterion-1 families at every rank, with
-    # triples nested as B1 (x) (B2 (x) B3); codes iterate in position order
+    # at the same int position of all 370 criterion-1 families at every rank,
+    # with triples nested as B1 (x) (B2 (x) B3); factors and code round-trip
     rows = 0
     for c, space in _axiom_families():
         codes = _codes(space)
-        position = {x: k for k, x in enumerate(codes)}
-        position[None] = -1
-        for k, x in enumerate(codes):
-            assert space.wt[k] == codes.weight(x)
-            assert space.pr[k] == position[tuple(t.pr[j] for t, j in zip(codes.tables, x))]
+        tables = codes.tables
+        assert list(codes) == list(range(len(space.wt)))
+        for x in codes:
+            factors = codes.factors(x)
+            assert _encode(tables, factors) == x
+            b = codes.element(x)
+            assert tuple(a.pos for a in b.factors) == factors and codes.code(b) == x
+            assert space.wt[x] == _fold_weight(codes, x)
+            for k, power in enumerate(space.pr_powers):
+                assert power[x] == _encode(tables, (t.pr_powers[k][j]
+                                                    for t, j in zip(tables, factors)))
             if isinstance(space, ProductTable):
-                assert space.element(k) == codes.element(x)
+                assert space.element(x) == b
         for i in c.nodes:
             node = codes.node(i)
-            for k, x in enumerate(codes):
+            for x in codes:
                 ep, ph, up, down = node(x)
-                assert (space.stats[i][k], space.e[i][k], space.f[i][k]) == \
-                    ((ep, ph), position[up], position[down]), (space.element(k), i)
+                assert (space.stats[i][x], space.e[i][x], space.f[i][x]) == \
+                    ((ep, ph), -1 if up is None else up, -1 if down is None else down), \
+                    (codes.element(x), i)
                 rows += 1
     assert rows == 228260  # 227,688 on products, 572 on the 157 tableaux
 

@@ -2,6 +2,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from darkc.dark import (DarkSpec, FactorWord, _close, build, dark_from_json,
                         lhs_character, make_spec, typeA_rows, verify,
                         well_definedness_check)
 from darkc.charring import CharPoly, char_to_json
-from darkc.cartan import AffineWeight
+from darkc.cartan import AffineWeight, aff_level_zero, delta_weight, fundamental_weight
 from darkc.energy import total_D
 from darkc.kr import find_b_rs, generate, parse_tableau, parse_tensor, twist
 from darkc.selftest import grid_specs
@@ -273,18 +274,63 @@ def test_verify_builds_no_tensor_elements(monkeypatch):
     assert len(made) == 0
 
 
+def folded_lhs(spec, dark) -> CharPoly:
+    """lhs_character with each element's weight folded from its factors, one
+    tuple add per factor: the oracle for the packed weight count."""
+    c = spec.cartan
+    base = spec.lam[0] * fundamental_weight(c, 0)
+    wts = [t.wt for t in dark.product.tables]
+    counts = Counter()
+    for x, d in dark.energies.items():
+        w = (0,) * c.m
+        for table_wt, k in zip(wts, dark.product.factors(x)):
+            w = tuple(map(add, w, table_wt[k]))
+        counts[base + aff_level_zero(c, w) - d * delta_weight(c)] += 1
+    return CharPoly(dict(counts))
+
+
+LHS_SPECS = {
+    "grid": grid_specs,
+    "ladder": lambda: [workloads.maximal_spec(*case) for case in workloads.LADDER[:2]],
+    "sweep": lambda: workloads.sweep_specs(1)[:20],
+}
+
+
+@pytest.mark.parametrize("group", sorted(LHS_SPECS))
+def test_packed_weight_count_matches_the_tuple_fold(group):
+    specs = LHS_SPECS[group]()
+    assert any(spec.p > 1 for spec in specs)
+    for spec in specs:
+        dark = build(spec)
+        assert lhs_character(spec, dark) == folded_lhs(spec, dark), spec
+
+
+def test_packed_weight_count_guards_its_digits(fresh_tables):
+    # a weight coordinate of B^{1,1} lies within 1 of 0, so in B^{1,1} (x)
+    # B^{1,1} a digit holds sums within the 2 boxes; a coordinate of 2 in the
+    # one table of both factors could reach 4 and carry, so it must raise
+    spec = make_spec(1, (1, 1), words=[(1,), ()])
+    dark = build(spec)
+    table = dark.product.left
+    table.wt = [(2, -2)] + table.wt[1:]
+    with pytest.raises(ModelConsistencyError,
+                       match="weight coordinates reach 4, beyond the box count 2"):
+        lhs_character(spec, dark)
+
+
 def test_closure_walks_D_at_f0_arrivals():
     # the words of a spec never hold 0 (they lie below y_r, in the classical
     # Weyl group), so build walks only its seeds; a closure along a word
     # with 0 must walk D where f_0 first reaches an element
     c = CartanA(2)
-    seed = tuple(find_b_rs(c, r, s).pos for r, s in ((1, 2), (1, 1)))
-    space = Codes([find_b_rs(c, r, s).table for r, s in ((1, 2), (1, 1))])
+    dist = [find_b_rs(c, r, s) for r, s in ((1, 2), (1, 1))]
+    space = Codes([b.table for b in dist])
+    seed = space.code(TensorElt(dist))
 
     def walk(x):
         return total_D(space, x)
 
-    energies = _close(space, (1, 0, 2, 0, 1), {seed: walk(seed)}, walk)
+    energies = _close(space, (1, 0, 2, 0, 1), [seed], walk)
     assert len(set(energies.values())) > 1  # so copying along f_0 would be wrong
     assert all(d == walk(x) for x, d in energies.items())
 
