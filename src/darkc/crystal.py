@@ -193,7 +193,6 @@ class Codes:
         self.width = prod(len(t.elements) for t in self.tables[1:])  # len(P)
         if right is not None:
             self.right = right
-        self._elements = [t.elements for t in self.tables]
 
     @cached_property
     def right(self):
@@ -270,7 +269,7 @@ class Codes:
         return _positions(self.tables, x)
 
     def element(self, x: int) -> TensorElt:
-        return TensorElt(tuple(map(getitem, self._elements, self.factors(x))))
+        return TensorElt(t.elements[k] for t, k in zip(self.tables, self.factors(x)))
 
     def code(self, b: TensorElt) -> int:
         if any(a.table is not t for a, t in zip(b.factors, self.tables, strict=True)):
