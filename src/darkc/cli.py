@@ -16,8 +16,8 @@ import sys
 from .cartan import CartanA
 from .charring import char_to_json
 from .crystal import Codes, ModelConsistencyError, graph_dot, graph_json, labels
-from .dark import (DarkSpec, FactorWord, build, dark_to_json, lhs_character,
-                   rhs_character, verify_detail)
+from .dark import (DarkSpec, FactorWord, _build, build, dark_to_json, lhs_character,
+                   rhs_character, validate, verify_detail)
 from .energy import pair_energies, total_D
 from .kr import parse_tensor
 from .selftest import CRITERIA, run_all
@@ -69,8 +69,15 @@ def _add_spec_flags(sub):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+def _elements(args):
+    """The DARK set of the spec, built without D, which build and export never print."""
+    spec = _spec_from_args(args)
+    validate(spec)
+    return _build(spec, None)
+
+
 def _cmd_build(args) -> int:
-    dark = build(_spec_from_args(args), graded=False)  # D is never printed
+    dark = _elements(args)
     if args.json:
         print(json.dumps(dark_to_json(dark), sort_keys=True))
     else:
@@ -113,7 +120,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    dark = build(_spec_from_args(args), graded=False)
+    dark = _elements(args)
     json_path = args.json_path
     if args.json and json_path is None:
         json_path = "-"

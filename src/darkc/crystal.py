@@ -6,11 +6,12 @@ A tensor product of KR crystals is held three ways, one for each job:
   and the oracles;
 - `Codes`, where an element is one int, its position in canonical order, and
   B_1 (x) ... (x) B_p is the two-factor product B_1 (x) P of the first table
-  and the table of the rest, serve sparse closures (`dark.build`), the energy
-  tables and the exports;
+  and the rest, serve sparse closures (`dark.build`), the energy tables and
+  the exports; a large P is read row by row as the set reaches it, so a
+  sparse set does not pay for the whole product;
 - `ProductTable`, two tables' product enumerated once with KRTable's arrays by
   the two-factor signature rule written out, serves whole-product checks
-  (selftest criteria 1, 2 and 8), the energy oracle and P inside `Codes`.
+  (selftest criteria 1, 2 and 8), the energy oracle and a small P in `Codes`.
 
 The rule is associative (Kashiwara; Bump-Schilling, Crystal Bases, ch. 2), so
 both give an element the same position: x = a*len(P) + c for left[a] (x) P[c].
@@ -173,33 +174,79 @@ class _Unit:
         self.pr_powers = [[0]] * c.m  # pr^k for k = 0, ..., n
 
 
+class Memo(dict):
+    """A dict that fills a missing key x with fill(x) and keeps it."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, x):
+        v = self[x] = self.fill(x)
+        return v
+
+
+def _arrow(step):
+    """A Codes step as an array fill: -1 where it returns None."""
+    def fill(x):
+        y = step(x)
+        return -1 if y is None else y
+    return fill
+
+
+class _Rows:
+    """A Codes read as a table: stats[i][x], e[i][x] and f[i][x] (-1 for 0),
+    wt[x] and pr_powers[k][x], each worked out by the Codes at the first read
+    of x and kept.  This is P inside `Codes` for three tables or more, so a
+    set pays for the rows of P that it reads, never for all of P."""
+
+    def __init__(self, space):
+        left, right, n = space.left, space.right, space.width
+        nodes = left.cartan.nodes
+        self.stats = [Memo(space.eps_phi(i)) for i in nodes]
+        self.e = [Memo(_arrow(space.e(i))) for i in nodes]
+        self.f = [Memo(_arrow(space.f(i))) for i in nodes]
+        self.wt = Memo(lambda x: tuple(map(add, left.wt[x // n], right.wt[x % n])))
+        self.pr_powers = [Memo(lambda x, u=u, v=v: u[x // n] * n + v[x % n])
+                          for u, v in zip(left.pr_powers, right.pr_powers)]
+
+
+# Codes enumerates a P of at most this many rows as a ProductTable, about
+# 0.05 s at the limit.  A larger P is read row by row unless the caller
+# expects a dense set: a row read costs each lookup about 60 ns more, but a
+# sparse set then pays only for the rows it reaches.
+EAGER_ROWS = 10_000
+
+
 class Codes:
     """The tensor product left (x) P of the KR crystals of some tables, left
-    the first and P the product of the others (the KR table for two, else a
-    ProductTable, and the one-element _Unit for one table), with an element
-    coded as one int: its position x = a*len(P) + c in canonical order, the
-    position that ProductTable gives it, so codes sort as their elements do.
-    e_i and f_i are Kashiwara's rule for two factors on (e1, p1) =
-    left.stats[i][a] and (e2, p2) = P.stats[i][c], as ProductTable writes it
-    out, then one read of the chosen factor's e[i] or f[i]; a chosen factor
-    that its array kills is a ModelConsistencyError.  `dark.build` passes P,
-    built once per level; otherwise it is built here on first use, so coding
-    and decoding need no P.  The tests tie codes to TensorElt and to
-    ProductTable at every position."""
+    the first and P the product of the others, with an element coded as one
+    int: its position x = a*len(P) + c in canonical order, the position that
+    ProductTable gives it, so codes sort as their elements do.  P is the
+    one-element _Unit for one table, the KR table for two, and otherwise a
+    ProductTable of the others when it has at most `eager_rows` rows, else
+    the rows of `inner`, the Codes of the others (built here when not given),
+    filled as they are read.  e_i and f_i are Kashiwara's rule for two
+    factors on (e1, p1) = left.stats[i][a] and (e2, p2) = P.stats[i][c], as
+    ProductTable writes it out, then one read of the chosen factor's e[i] or
+    f[i]; a chosen factor that its array kills is a ModelConsistencyError.
+    The tests tie codes to TensorElt and to ProductTable at every position."""
 
-    def __init__(self, tables, right=None):
+    def __init__(self, tables, inner=None, eager_rows=EAGER_ROWS):
         self.tables = tuple(tables)
         self.left = self.tables[0]
         self.width = prod(len(t.elements) for t in self.tables[1:])  # len(P)
-        if right is not None:
-            self.right = right
+        self.inner, self.eager_rows = inner, eager_rows
 
     @cached_property
     def right(self):
-        if len(self.tables) == 1:
-            return _Unit(self.left.cartan)
-        right = self.tables[-1]
-        for t in reversed(self.tables[1:-1]):
+        tables = self.tables
+        if len(tables) <= 2:
+            return tables[1] if len(tables) == 2 else _Unit(self.left.cartan)
+        if self.width > self.eager_rows:
+            return _Rows(self.inner or Codes(tables[1:]))
+        right = tables[-1]
+        for t in reversed(tables[1:-1]):
             right = ProductTable(t, right)
         return right
 
@@ -252,17 +299,19 @@ class Codes:
             return None
         return step
 
-    def node(self, i: int):
-        """x -> (eps_i, phi_i, e_i x, f_i x): the stats (e1 + e2 - p1, p2) if
-        e2 > p1, else (e1, p1 + p2 - e2), and the moves of `e` and `f`."""
-        up, down, n = self.e(i), self.f(i), self.width
-        s1, s2 = self.left.stats[i], self.right.stats[i]
+    def eps_phi(self, i: int):
+        """x -> (eps_i, phi_i): (e1 + e2 - p1, p2) if e2 > p1, else (e1, p1 + p2 - e2)."""
+        s1, s2, n = self.left.stats[i], self.right.stats[i], self.width
 
-        def row(x):
+        def stats(x):
             (e1, p1), (e2, p2) = s1[x // n], s2[x % n]
-            ep, ph = (e1 + e2 - p1, p2) if e2 > p1 else (e1, p1 + p2 - e2)
-            return ep, ph, up(x), down(x)
-        return row
+            return (e1 + e2 - p1, p2) if e2 > p1 else (e1, p1 + p2 - e2)
+        return stats
+
+    def node(self, i: int):
+        """x -> (eps_i, phi_i, e_i x, f_i x), the rows of `eps_phi`, `e` and `f`."""
+        stats, up, down = self.eps_phi(i), self.e(i), self.f(i)
+        return lambda x: stats(x) + (up(x), down(x))
 
     def factors(self, x: int) -> tuple[int, ...]:
         """The positions of the factors of x in their tables."""

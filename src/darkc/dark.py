@@ -10,9 +10,10 @@ the match exactly.
 
 `build` works on integer codes (`crystal.Codes`): an element of
 B_j (x) ... (x) B_p is one int, its position a*len(P) + c in canonical order,
-where P = B_{j+1} (x) ... (x) B_p is one table built once per level.  f_i is
-Kashiwara's rule for the two factors B_j and P, and the twist is a read of P's
-promotion powers.  The final set keeps its energy D with each code.  D is
+where P = B_{j+1} (x) ... (x) B_p, the space of the level before, is a
+table: enumerated when it is small or the level before filled much of it,
+and otherwise read row by row, each row worked out when first read.  f_i is Kashiwara's rule for
+the two factors B_j and P, and the twist is a read of P's promotion powers.  The final set keeps its energy D with each code.  D is
 constant on classical components: the local energy H is classically invariant
 and the R-matrix commutes with the classical e_i and f_i (Shimozono 2002;
 Schilling-Tingley, arXiv:1104.2359).  So a closure step along a classical
@@ -34,7 +35,7 @@ from operator import mul
 
 from .cartan import CartanA, aff_level_zero, delta_weight, fundamental_weight
 from .charring import CharPoly, fit_delta_shift, rhs_formula
-from .crystal import Codes, ModelConsistencyError, ProductTable, TensorElt, factor_texts
+from .crystal import EAGER_ROWS, Codes, Memo, TensorElt, factor_texts
 from .energy import total_D
 from .kr import find_b_rs, generate
 from .weyl import (all_reduced_words, bruhat_lower_interval, from_reduced_word,
@@ -126,7 +127,8 @@ def validate(spec: DarkSpec) -> None:
 @dataclass(frozen=True, eq=False)
 class DarkSet:
     """A DARK set as codes over `product`, each mapped to its energy D (None
-    throughout when built with graded=False).  Codes sort in canonical order."""
+    throughout when _build ran with grade None).  Codes sort in canonical
+    order."""
 
     spec: DarkSpec
     product: Codes
@@ -163,33 +165,32 @@ def _close(space: Codes, letters, seeds, walk) -> dict:
     return energies
 
 
-def build(spec: DarkSpec, graded: bool = True) -> DarkSet:
+def build(spec: DarkSpec) -> DarkSet:
     """Right-to-left evaluation of the nested closure/twist construction on
     codes.  Only the outermost closure, the final set, needs D: its seeds and
-    its elements first reached by f_0 get one total_D walk each.  With
-    graded=False no walk is made and every D is None, for callers that read
-    only the elements."""
+    its elements first reached by f_0 get one total_D walk each."""
     validate(spec)
-    return _build(spec, total_D if graded else None)
+    return _build(spec, total_D)
 
 
 def _build(spec: DarkSpec, grade) -> DarkSet:
     """build on a valid spec, with D(x) = grade(space, x) for each walk, or
-    None throughout when grade is None.  Level j closes in B_j (x) P, P the
-    table of the factors right of j, built once, right to left; a seed is
-    b^{r_j,s_j} (x) pr^{r_j} of an element of the level before."""
+    None throughout when grade is None, for callers that read only the
+    elements (well-definedness, `darkc build` and `darkc export`).  Level j
+    closes in B_j (x) P, right to left; a seed is b^{r_j,s_j} (x) pr^{r_j} of
+    an element of the level before, whose set lies in P.  P is enumerated
+    when it is small or has at most 4 rows per element of that set, and is
+    otherwise read row by row, so a sparse set costs in proportion to itself."""
     c = spec.cartan
     dist = [find_b_rs(c, rj, sj) for rj, sj in zip(spec.r, spec.lam)]
     tables = [b.table for b in dist]
     energies = {0: None}  # the one element of the empty tensor product
-    inner = None  # the table of the factors right of level j, None for none
+    space = None
     for j in range(spec.p - 1, -1, -1):
-        space = Codes(tables[j:], inner)
+        space = Codes(tables[j:], space, max(EAGER_ROWS, 4 * len(energies)))
         walk = (lambda x: grade(space, x)) if j == 0 and grade is not None else (lambda x: None)
         x0, twist = dist[j].pos * space.width, space.right.pr_powers[spec.r[j] % c.m]  # tau_r = r
         energies = _close(space, spec.words[j].letters, [x0 + twist[x] for x in energies], walk)
-        if j:
-            inner = tables[j] if inner is None else ProductTable(tables[j], inner)
     return DarkSet(spec, space, energies)
 
 
@@ -231,31 +232,24 @@ def lhs_character(spec: DarkSpec, dark: DarkSet) -> CharPoly:
 def _weight_counts(space: Codes, energies: dict) -> dict:
     """{(wt, D): count} over a {code: D} map.  One table: wt is read off it.
     Otherwise each code x = a*len(P) + c gets one int key, the left factor's
-    packed weight plus P's, and each distinct key is unpacked once.  A digit
-    holds a coordinate plus `bound`, the boxes of all factors, and a weight
-    coordinate of B^{r,s} lies within r*s of 0, so a digit of the sum never
-    carries; a table whose weights break that bound raises instead."""
+    packed weight plus P's, and each distinct key is unpacked once.  A weight
+    coordinate lies within `reach`, the sum of the tables' largest, of 0, so a
+    digit holds it plus reach and a digit of the sum never carries."""
     left, right = space.left, space.right
     if len(space.tables) == 1:
         return Counter(zip(map(left.wt.__getitem__, energies), energies.values()))
-    bound = sum(r * s for r, s in (t.shape for t in space.tables))
-    bits = (2 * bound).bit_length()
-    reach = max(map(abs, chain.from_iterable(left.wt)))
-    reach += max(map(abs, chain.from_iterable(right.wt)))
-    if reach > bound:
-        raise ModelConsistencyError(
-            f"weight coordinates reach {reach}, beyond the box count {bound}")
-
+    reach = sum(max(map(abs, chain.from_iterable(t.wt))) for t in space.tables)
+    bits = (2 * reach + 1).bit_length()
     shifts = range(0, bits * len(left.wt[0]), bits)
     radix = [1 << k for k in shifts]
-    offset = bound * sum(radix)
+    offset = reach * sum(radix)
     keys_left = [sum(map(mul, w, radix)) + offset for w in left.wt]
-    keys_right = [sum(map(mul, w, radix)) for w in right.wt]
+    keys_right = Memo(lambda c: sum(map(mul, right.wt[c], radix)))
     n = space.width
     keys = (keys_left[x // n] + keys_right[x % n] for x in energies)
     counts = Counter(zip(keys, energies.values()))
     mask = (1 << bits) - 1
-    weights = {key: tuple((key >> k & mask) - bound for k in shifts)
+    weights = {key: tuple((key >> k & mask) - reach for k in shifts)
                for key in {key for key, _ in counts}}
     return {(weights[key], d): count for (key, d), count in counts.items()}
 

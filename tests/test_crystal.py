@@ -4,7 +4,7 @@ from operator import add, getitem, sub
 import pytest
 
 from darkc.cartan import CartanA, cl_simple_root
-from darkc.crystal import (Codes, ModelConsistencyError, ProductTable, TensorElt,
+from darkc.crystal import (EAGER_ROWS, Codes, ModelConsistencyError, ProductTable, TensorElt,
                            classical_highest_path, demazure_closure, eps, f_closure,
                            graph_dot, graph_json, phi)
 from darkc.kr import KRTable, generate, parse_tableau
@@ -120,9 +120,10 @@ def test_string_lengths():
                 assert (up[x], down[x]) == (eps(x, i), phi(x, i)), (x, i)
 
 
-def _codes(space) -> Codes:
+def _codes(space, eager_rows=EAGER_ROWS) -> Codes:
     """The Codes over the KR factors of a criterion-1 family."""
-    return Codes(space.tables if isinstance(space, ProductTable) else (space,))
+    return Codes(space.tables if isinstance(space, ProductTable) else (space,),
+                 eager_rows=eager_rows)
 
 
 def _fold_weight(space: Codes, x) -> tuple[int, ...]:
@@ -168,12 +169,21 @@ def _encode(tables, positions) -> int:
 def test_product_tables_match_codes():
     # criteria 1, 2 and 8 read table arrays, build runs on Codes: the two meet
     # at the same int position of all 370 criterion-1 families at every rank,
-    # with triples nested as B1 (x) (B2 (x) B3); factors and code round-trip
+    # with triples nested as B1 (x) (B2 (x) B3); factors and code round-trip.
+    # The Codes read P row by row, as build does for a large P, so the rows
+    # of a triple's P meet the pair table's arrays too
     rows = 0
     for c, space in _axiom_families():
-        codes = _codes(space)
+        codes = _codes(space, eager_rows=0)
         tables = codes.tables
         assert list(codes) == list(range(len(space.wt)))
+        if len(tables) == 3:
+            lazy, pair = codes.right, space.right
+            assert not isinstance(lazy, ProductTable)
+            for x in range(len(pair.wt)):
+                assert lazy.wt[x] == pair.wt[x]
+                assert [power[x] for power in lazy.pr_powers] == \
+                    [power[x] for power in pair.pr_powers]
         for x in codes:
             factors = codes.factors(x)
             assert _encode(tables, factors) == x

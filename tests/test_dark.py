@@ -9,7 +9,8 @@ import pytest
 
 from darkc import cli, energy, kr
 from darkc.cartan import CartanA
-from darkc.crystal import Codes, ModelConsistencyError, TensorElt, demazure_closure
+from darkc.crystal import (Codes, ModelConsistencyError, ProductTable, TensorElt,
+                           demazure_closure)
 from darkc.dark import (DarkSpec, FactorWord, _close, build, dark_from_json,
                         dark_to_json, full_tensor, i_string_report,
                         lhs_character, make_spec, typeA_rows, verify,
@@ -305,17 +306,27 @@ def test_packed_weight_count_matches_the_tuple_fold(group):
         assert lhs_character(spec, dark) == folded_lhs(spec, dark), spec
 
 
-def test_packed_weight_count_guards_its_digits(fresh_tables):
-    # a weight coordinate of B^{1,1} lies within 1 of 0, so in B^{1,1} (x)
-    # B^{1,1} a digit holds sums within the 2 boxes; a coordinate of 2 in the
-    # one table of both factors could reach 4 and carry, so it must raise
+def test_packed_weight_digits_follow_the_table_weights(fresh_tables):
+    # the digits are sized from the tables' largest weight coordinates, not
+    # from their boxes: a coordinate of 7 in B^{1,1} puts sums of up to 14
+    # in a digit of B^{1,1} (x) B^{1,1}, and the count must stay exact
     spec = make_spec(1, (1, 1), words=[(1,), ()])
     dark = build(spec)
     table = dark.product.left
-    table.wt = [(2, -2)] + table.wt[1:]
-    with pytest.raises(ModelConsistencyError,
-                       match="weight coordinates reach 4, beyond the box count 2"):
-        lhs_character(spec, dark)
+    table.wt = [(7, -7)] + table.wt[1:]
+    assert lhs_character(spec, dark) == folded_lhs(spec, dark)
+
+
+def test_sparse_set_reads_few_rows_of_a_large_product():
+    # the distinguished element alone in B^{2,3} at n = 4, four times: P has
+    # 175^3 rows, and build reads P row by row, touching almost none of them
+    spec = make_spec(4, (3, 3, 3, 3), r=(2, 2, 2, 2))
+    dark = build(spec)
+    assert len(dark) == 1 and dark.product.width == 175 ** 3
+    rows = dark.product.right
+    assert not isinstance(rows, ProductTable)
+    assert sum(map(len, rows.stats + rows.f + rows.pr_powers)) <= 5
+    assert verify(spec) == (True, Fraction(-144, 5))
 
 
 def test_closure_walks_D_at_f0_arrivals():
