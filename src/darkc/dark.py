@@ -12,8 +12,9 @@ the match exactly.
 B_j (x) ... (x) B_p is one int, its position a*len(P) + c in canonical order,
 where P = B_{j+1} (x) ... (x) B_p, the space of the level before, is a
 table: enumerated when it is small or the level before filled much of it,
-and otherwise read row by row, each row worked out when first read.  f_i is Kashiwara's rule for
-the two factors B_j and P, and the twist is a read of P's promotion powers.  The final set keeps its energy D with each code.  D is
+and otherwise read row by row, each row worked out when first read.  f_i is
+Kashiwara's rule for the two factors B_j and P, and the twist is a read of
+P's promotion powers.  The final set keeps its energy D with each code.  D is
 constant on classical components: the local energy H is classically invariant
 and the R-matrix commutes with the classical e_i and f_i (Shimozono 2002;
 Schilling-Tingley, arXiv:1104.2359).  So a closure step along a classical
