@@ -6,16 +6,23 @@ integers; a Fraction is built only to print a delta coefficient or the fitted
 C.  The Demazure operator D_i is evaluated monomial by monomial through the
 geometric-series form of (f - e^{-alpha_i} s_i(f)) / (1 - e^{-alpha_i}); the
 test suite cross-checks this against literal polynomial division.
+
+Every D_i runs in one kernel, _Packing.demazure, on one packed int key per
+monomial: a fixed-width digit per coordinate, sized so that no digit carries,
+with a guard that raises before one could.  demazure_op, demazure_word and
+rhs_formula pack their input once and unpack the result once.  rhs_formula
+never rotates a term: the rotations of the nested formula are folded into
+the letters and the Lambda_0 shifts (see its docstring).
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from itertools import chain
-from operator import add
 
-from .cartan import (AffineWeight, CartanA, _vec, fundamental_weight, rotate,
-                     simple_root, weight_from_json, weight_to_json, zero_weight)
+from .cartan import (AffineWeight, CartanA, _vec, rotate, simple_root,
+                     weight_from_json, weight_to_json, zero_weight)
 
 
 class CharPoly:
@@ -87,32 +94,110 @@ def char_from_json(items) -> CharPoly:
     return CharPoly([(weight_from_json(obj), obj["coef"]) for obj in items])
 
 
-def demazure_op(c: CartanA, i: int, f: CharPoly) -> CharPoly:
-    """D_i, monomial by monomial.  With k = <alpha_i_check, mu>:
-    k >= 0 gives the sum of e^{mu - t alpha_i} for t = 0..k;
-    k = -1 kills the monomial;
-    k <= -2 gives minus the sum of e^{mu + t alpha_i} for t = 1..-k-1."""
-    alpha = simple_root(c, i)
-    out: dict[AffineWeight, int] = {}
-    for mu, coef in f.terms.items():
-        k = mu[i]
-        if k >= 0:
-            step, count = -alpha, k + 1
-        elif k <= -2:
-            mu, step, count, coef = mu + alpha, alpha, -k - 1, -coef
+# The narrowest digit of a packed weight, in bits (see _Packing).
+DIGIT_BITS = 32
+
+_STRUCT_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+class _Packing:
+    """Affine weights of one rank as ints, and the Demazure operator on them.
+
+    Coordinate t of (lam_0, ..., lam_n, d) is digit t, `bits` wide, holding
+    the value plus 2^(bits-1), i.e. with its sign bit flipped.  So
+    <alpha_i_check, mu> is one shift and mask, mu - alpha_i is one subtraction
+    of the packed alpha_i, and a key XOR the sign bits is the two's-complement
+    byte string of the vector, which one struct unpack reads.
+
+    No digit may carry.  `bound` caps every coordinate of every key built so
+    far.  D_i moves a coordinate of mu by at most 2|<alpha_i_check, mu>|, so
+    each operator adds twice its largest |pairing| to the bound, and raises
+    OverflowError instead of returning once the bound leaves the digit's
+    range.  The width is the narrowest of DIGIT_BITS, 2*DIGIT_BITS, ... with
+    the first bound (lam_1 for rhs_formula) below 2^(bits/2); the bound must
+    then grow by over 2^30 before the guard trips, which takes over 10^8
+    additions."""
+
+    def __init__(self, c: CartanA, bound: int):
+        bits = DIGIT_BITS
+        while bound >> bits // 2:
+            bits *= 2
+        self.bits, self.half, self.bound = bits, 1 << bits - 1, bound
+        self.mask = (1 << bits) - 1
+        self.size = (c.m + 1) * bits // 8
+        self.signs = sum(self.half << t for t in range(0, (c.m + 1) * bits, bits))
+        self.alpha = [self.key(simple_root(c, i)) - self.signs for i in c.nodes]
+        code = _STRUCT_CODES.get(bits)
+        if code:
+            self.unpack = struct.Struct(f"<{c.m + 1}{code}").unpack
         else:
-            continue
-        for _ in range(count):
-            out[mu] = out.get(mu, 0) + coef
-            mu = _vec(map(add, mu, step))
-    return CharPoly(out)
+            step = bits // 8
+            self.unpack = lambda raw: [int.from_bytes(raw[t:t + step], "little", signed=True)
+                                       for t in range(0, self.size, step)]
+
+    def key(self, mu) -> int:
+        return sum(v << t for v, t in zip(mu, range(0, len(mu) * self.bits, self.bits))) \
+            + self.signs
+
+    def shifted(self, terms: dict, i: int, step: int) -> dict:
+        """Multiply by e^{step Lambda_i}; the caller's bound covers step."""
+        by = step << self.bits * i
+        return {key + by: coef for key, coef in terms.items()}
+
+    def demazure(self, i: int, terms: dict) -> dict:
+        """D_i on {key: coef}.  With k = <alpha_i_check, mu>:
+        k >= 0 gives the sum of e^{mu - t alpha_i} for t = 0..k;
+        k = -1 kills the monomial;
+        k <= -2 gives minus the sum of e^{mu + t alpha_i} for t = 1..-k-1.
+        A coefficient that cancels to 0 stays until `poly` drops it."""
+        shift, mask, half, a = self.bits * i, self.mask, self.half, self.alpha[i]
+        out: dict[int, int] = {}
+        get = out.get
+        top = 0
+        for key, coef in terms.items():
+            k = (key >> shift & mask) - half
+            if k >= 0:
+                out[key] = get(key, 0) + coef
+                if k > top:
+                    top = k
+                while k:
+                    key -= a
+                    out[key] = get(key, 0) + coef
+                    k -= 1
+            elif k < -1:
+                if -k > top:
+                    top = -k
+                k = -k - 1
+                while k:
+                    key += a
+                    out[key] = get(key, 0) - coef
+                    k -= 1
+        self.bound += 2 * top
+        if self.bound >= half:
+            raise OverflowError(f"a weight coordinate may exceed the {self.bits}-bit digit")
+        return out
+
+    def poly(self, terms: dict) -> CharPoly:
+        unpack, signs, size = self.unpack, self.signs, self.size
+        return CharPoly({_vec(unpack((key ^ signs).to_bytes(size, "little"))): coef
+                         for key, coef in terms.items()})
+
+
+def demazure_op(c: CartanA, i: int, f: CharPoly) -> CharPoly:
+    """D_i, evaluated on packed keys (see _Packing.demazure)."""
+    return demazure_word(c, (i,), f)
 
 
 def demazure_word(c: CartanA, word, f: CharPoly) -> CharPoly:
     """D along a letter sequence, rightmost letter applied first."""
-    for i in reversed(tuple(word)):
-        f = demazure_op(c, i, f)
-    return f
+    word = tuple(word)
+    for i in word:
+        c.check_node(i)
+    keys = _Packing(c, max(map(abs, chain.from_iterable(f.terms)), default=0))
+    terms = {keys.key(mu): coef for mu, coef in f.terms.items()}
+    for i in reversed(word):
+        terms = keys.demazure(i, terms)
+    return keys.poly(terms)
 
 
 def sigma_act(c: CartanA, k: int, f: CharPoly) -> CharPoly:
@@ -123,7 +208,16 @@ def sigma_act(c: CartanA, k: int, f: CharPoly) -> CharPoly:
 def rhs_formula(c: CartanA, lam, words, taus) -> CharPoly:
     """Nested Demazure-operator character: with lam^j = lam_j - lam_{j+1},
     g_p = D_{w_p} tau_p(e^{lam^p Lambda_0}) and
-    g_j = D_{w_j} tau_j(e^{lam^j Lambda_0} * g_{j+1}); returns g_1."""
+    g_j = D_{w_j} tau_j(e^{lam^j Lambda_0} * g_{j+1}); returns g_1.
+
+    No term is ever rotated.  The rotations are ring automorphisms with
+    sigma_k D_i = D_{i+k} sigma_k (criterion 6) and sigma_k(e^mu f) =
+    e^{sigma_k mu} sigma_k(f), so every sigma moves right past the operators
+    inside it, to act on the innermost 1, which it fixes.  With
+    K_j = tau_1 + ... + tau_j, level j then applies its letters i as
+    D_{i + K_{j-1}} and its shift as e^{lam^j Lambda_{K_j}}, all on one
+    packed dict (see _Packing): the final keys unpack straight into g_1.
+    The shifts add up to lam_1, which sizes the digits."""
     lam = tuple(int(v) for v in lam)
     words = tuple(tuple(w) for w in words)
     taus = tuple(int(t) for t in taus)
@@ -132,13 +226,18 @@ def rhs_formula(c: CartanA, lam, words, taus) -> CharPoly:
         raise ValueError("lambda, words and taus must have equal length")
     if any(lam[j] < lam[j + 1] for j in range(p - 1)) or (p and lam[-1] < 0):
         raise ValueError("lambda must be weakly decreasing and nonnegative")
-    lambda0 = fundamental_weight(c, 0)
-    g = CharPoly.one(c)
+    for i in chain.from_iterable(words):
+        c.check_node(i)
+    keys = _Packing(c, lam[0] if p else 0)
+    terms = {keys.signs: 1}
+    turn = sum(taus)
     for j in range(p - 1, -1, -1):
         step = lam[j] - (lam[j + 1] if j + 1 < p else 0)
-        g = demazure_word(c, words[j],
-                          sigma_act(c, taus[j], g.shifted(step * lambda0)))
-    return g
+        terms = keys.shifted(terms, turn % c.m, step)
+        turn -= taus[j]
+        for i in reversed(words[j]):
+            terms = keys.demazure((i + turn) % c.m, terms)
+    return keys.poly(terms)
 
 
 def fit_delta_shift(lhs: CharPoly, rhs: CharPoly):
@@ -150,6 +249,10 @@ def fit_delta_shift(lhs: CharPoly, rhs: CharPoly):
     if not lhs:
         return True, Fraction(0)
     by = min(rhs.terms) - min(lhs.terms)
-    if any(by.lam) or lhs.shifted(by) != rhs:
+    if any(by.lam):
+        return False, None
+    # only the delta coordinate moves; equal sizes make a match injective
+    d, get = by[-1], rhs.terms.get
+    if any(get(mu[:-1] + (mu[-1] + d,)) != coef for mu, coef in lhs.terms.items()):
         return False, None
     return True, by.dlt

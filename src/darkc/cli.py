@@ -258,7 +258,7 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as exc:
         print(f"darkc: error: {exc}", file=sys.stderr)
         return 2
-    except (ModelConsistencyError, RecursionError, MemoryError) as exc:
+    except (ModelConsistencyError, RecursionError, MemoryError, OverflowError) as exc:
         where = args.command
         if hasattr(args, "lam"):  # build, verify, char and export take a spec
             spec = _spec_from_args(args)

@@ -1,14 +1,21 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product
+from operator import add
+from pathlib import Path
 
 import pytest
 
-from darkc.cartan import AffineWeight, CartanA, fundamental_weight, simple_root
+from darkc import charring
+from darkc.cartan import AffineWeight, CartanA, _vec, simple_root
 from darkc.charring import (CharPoly, char_from_json, char_to_json, demazure_op,
                             demazure_word, fit_delta_shift, rhs_formula,
                             sigma_act)
-from darkc.selftest import _random_poly, demazure_by_division
+from darkc.selftest import _random_poly, demazure_by_division, grid_specs
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402  (the benchmark's ladder specs)
 
 
 def mono(lam, dlt=0):
@@ -154,6 +161,9 @@ def test_fit_delta_shift():
     h = mono((0, 1)) + mono((2, -1), Fraction(1, 4))
     ok, shift = fit_delta_shift(f, h)
     assert not ok
+    # the same exponents with one coefficient changed
+    ok, shift = fit_delta_shift(f, g + mono((0, 1), Fraction(1, 2)))
+    assert not ok and shift is None
 
 
 def test_char_json_round_trip_and_golden():
@@ -165,3 +175,108 @@ def test_char_json_round_trip_and_golden():
         {"lam": [2, -1], "delta": "-1/2", "coef": 1},
     ]
     assert char_from_json(blob) == f
+
+
+def tuple_demazure(c, i, f):
+    """D_i monomial by monomial on AffineWeight tuples, one vector add per
+    term: the reference for the packed kernel."""
+    alpha = simple_root(c, i)
+    out = {}
+    for mu, coef in f.terms.items():
+        k = mu[i]
+        if k >= 0:
+            step, count = -alpha, k + 1
+        elif k <= -2:
+            mu, step, count, coef = mu + alpha, alpha, -k - 1, -coef
+        else:
+            continue
+        for _ in range(count):
+            out[mu] = out.get(mu, 0) + coef
+            mu = _vec(map(add, mu, step))
+    return CharPoly(out)
+
+
+def nested_rhs(c, lam, words, taus):
+    """The nested formula as written, every rotation applied to every term:
+    g_j = D_{w_j} sigma_{tau_j}(e^{lam^j Lambda_0} g_{j+1})."""
+    g = CharPoly.one(c)
+    for j in range(len(lam) - 1, -1, -1):
+        step = lam[j] - (lam[j + 1] if j + 1 < len(lam) else 0)
+        g = sigma_act(c, taus[j], g.shifted(AffineWeight((step,) + (0,) * c.n)))
+        for i in reversed(words[j]):
+            g = tuple_demazure(c, i, g)
+    return g
+
+
+def random_specs(seed, count):
+    """(c, lam, words, taus) with n = 3..5, p <= 3, parts <= 3 and random
+    letter sequences of length <= 6, reduced or not."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        c = CartanA(rng.randint(3, 5))
+        p = rng.randint(1, 3)
+        lam = sorted((rng.randint(0, 3) for _ in range(p)), reverse=True)
+        words = [[rng.randrange(c.m) for _ in range(rng.randint(0, 6))] for _ in range(p)]
+        out.append((c, lam, words, [rng.randint(0, c.n) for _ in range(p)]))
+    return out
+
+
+def spec_args(spec):
+    return spec.cartan, spec.lam, tuple(fw.letters for fw in spec.words), spec.r
+
+
+RHS_SPECS = {
+    "grid": lambda: [spec_args(spec) for spec in grid_specs()],
+    "ladder": lambda: [spec_args(workloads.maximal_spec(*case)) for case in workloads.LADDER],
+    "random": lambda: random_specs(1501, 40),
+}
+
+
+@pytest.mark.parametrize("group", sorted(RHS_SPECS))
+def test_rhs_formula_matches_the_nested_tuple_formula(group):
+    for c, lam, words, taus in RHS_SPECS[group]():
+        assert rhs_formula(c, lam, words, taus) == nested_rhs(c, lam, words, taus), \
+            (c, lam, words, taus)
+
+
+@pytest.mark.parametrize("big", (2**40, 2**70))
+def test_rhs_formula_beyond_machine_words(big):
+    c = CartanA(2)
+    # one factor: e^{big Lambda_1}; letters 0 and 2 pair to 0 with it
+    assert rhs_formula(c, (big,), ((),), (1,)) == mono((0, big, 0))
+    assert rhs_formula(c, (big,), ((0, 2),), (1,)) == mono((0, big, 0))
+    # two factors: e^{s Lambda_1 + big Lambda_2}, then D_1 and D_0 pair to at most s
+    for lam, words, taus in (((big, big), ((), ()), (1, 2)),
+                             ((big + 1, big), ((1,), ()), (1, 1)),
+                             ((big + 2, big), ((0, 1), ()), (1, 1))):
+        got = rhs_formula(c, lam, words, taus)
+        assert got == nested_rhs(c, lam, words, taus)
+        assert max(max(map(abs, mu)) for mu in got.terms) >= big
+
+
+def test_narrow_digits_raise_before_they_carry(monkeypatch):
+    c, lam, words, taus = CartanA(1), (15,), ((1, 0, 1, 0),), (1,)
+    want = nested_rhs(c, lam, words, taus)
+    assert rhs_formula(c, lam, words, taus) == want
+    # some coordinate of the result does not fit an 8-bit digit
+    assert max(max(map(abs, mu)) for mu in want.terms) > 127
+    monkeypatch.setattr(charring, "DIGIT_BITS", 8)
+    with pytest.raises(OverflowError, match="8-bit digit"):
+        rhs_formula(c, lam, words, taus)
+    with pytest.raises(OverflowError, match="8-bit digit"):
+        demazure_word(c, words[0], mono((0, 15)))
+
+
+def test_letters_out_of_range_raise_index_error():
+    c = CartanA(2)
+    f = mono((1, 0, 0))
+    for bad in (c.m, -1):
+        with pytest.raises(IndexError):
+            demazure_op(c, bad, f)
+        with pytest.raises(IndexError):
+            demazure_word(c, (1, bad), CharPoly.zero())
+        with pytest.raises(IndexError):
+            rhs_formula(c, (1,), ((bad,),), (1,))
+        with pytest.raises(IndexError):
+            rhs_formula(c, (2, 1), ((), (0, bad)), (1, 2))
