@@ -9,10 +9,10 @@ test suite cross-checks this against literal polynomial division.
 
 Every D_i runs in one kernel, _Packing.demazure, on one packed int key per
 monomial: a fixed-width digit per coordinate, sized so that no digit carries,
-with a guard that raises before one could.  demazure_op, demazure_word and
-rhs_formula pack their input once and unpack the result once.  rhs_formula
-never rotates a term: the rotations of the nested formula are folded into
-the letters and the Lambda_0 shifts (see its docstring).
+and a guard that raises rather than return a result that could have carried.
+demazure_op, demazure_word and rhs_formula pack once and unpack once.
+rhs_formula never rotates a term: the rotations of the nested formula are
+folded into the letters and the Lambda_0 shifts (see its docstring).
 """
 
 from __future__ import annotations

@@ -155,7 +155,8 @@ def test_invalid_words_exit_2_with_the_validation_message(capsys, w, message):
     assert (code, out, err) == (2, "", f"darkc: error: {message}\n")
 
 
-@pytest.mark.parametrize("error", [ModelConsistencyError, RecursionError, MemoryError])
+@pytest.mark.parametrize("error", [ModelConsistencyError, RecursionError, MemoryError,
+                                   OverflowError])
 def test_internal_errors_exit_3(monkeypatch, capsys, error):
     def broken(c, r, s):
         raise error("table build failed")
@@ -171,7 +172,8 @@ def test_internal_errors_exit_3(monkeypatch, capsys, error):
     (("verify", "--n", "2", "--lambda", "2 1", "--w", "2 1;"), "verify n=2 lambda=2,1 r=1,1"),
     (("build", "--n", "3", "--lambda", "2,1", "--r", "2,3"), "build n=3 lambda=2,1 r=2,3"),
 ])
-@pytest.mark.parametrize("error", [ModelConsistencyError, RecursionError, MemoryError])
+@pytest.mark.parametrize("error", [ModelConsistencyError, RecursionError, MemoryError,
+                                   OverflowError])
 def test_internal_errors_name_the_spec(monkeypatch, capsys, error, argv, where):
     def broken(c, r, s):
         raise error("table build failed")
