@@ -10,9 +10,9 @@ test suite cross-checks this against literal polynomial division.
 Every D_i runs in one kernel, _Packing.demazure, on one packed int key per
 monomial: a fixed-width digit per coordinate, sized so that no digit carries,
 and a guard that raises rather than return a result that could have carried.
-demazure_op, demazure_word and rhs_formula pack once and unpack once.
 rhs_formula never rotates a term: the rotations of the nested formula are
-folded into the letters and the Lambda_0 shifts (see its docstring).
+folded into the letters and the Lambda_0 shifts (see its docstring).  `verify`
+fits the shift on the keys of both sides; a CharPoly unpacks when first read.
 """
 
 from __future__ import annotations
@@ -20,15 +20,17 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from itertools import chain
+from operator import lshift
 
 from .cartan import (AffineWeight, CartanA, _vec, rotate, simple_root,
                      weight_from_json, weight_to_json, zero_weight)
 
 
 class CharPoly:
-    """Finitely supported map AffineWeight -> int; zero coefficients dropped."""
+    """Finitely supported map AffineWeight -> int; zero coefficients dropped.
+    One made by _Packing.poly keeps its packed keys until `terms` is read."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_packed")
 
     def __init__(self, terms=None):
         if not isinstance(terms, dict):
@@ -37,6 +39,15 @@ class CharPoly:
                 data[mu] = data.get(mu, 0) + coef
             terms = data
         self.terms = {mu: coef for mu, coef in terms.items() if coef}
+
+    def __getattr__(self, name):
+        if name != "terms":
+            raise AttributeError(name)
+        self.terms = _Packing.unpacked(*self._packed)
+        return self.terms
+
+    def __reduce__(self):
+        return CharPoly, (self.terms,)
 
     @classmethod
     def monomial(cls, mu: AffineWeight, coef: int = 1) -> "CharPoly":
@@ -104,10 +115,11 @@ class _Packing:
     """Affine weights of one rank as ints, and the Demazure operator on them.
 
     Coordinate t of (lam_0, ..., lam_n, d) is digit t, `bits` wide, holding
-    the value plus 2^(bits-1), i.e. with its sign bit flipped.  So
-    <alpha_i_check, mu> is one shift and mask, mu - alpha_i is one subtraction
-    of the packed alpha_i, and a key XOR the sign bits is the two's-complement
-    byte string of the vector, which one struct unpack reads.
+    the value plus 2^(bits-1): a key is signs + key(mu), key being linear.
+    So <alpha_i_check, mu> is one shift and mask, mu - alpha_i is one
+    subtraction of the packed alpha_i, and a key XOR the sign bits is the
+    two's-complement byte string of the vector, which one struct unpack reads.
+    Keys order as their vectors do, read from the delta coordinate down.
 
     No digit may carry.  `bound` caps every coordinate of every key built so
     far.  D_i moves a coordinate of mu by at most 2|<alpha_i_check, mu>|, so
@@ -116,7 +128,7 @@ class _Packing:
     range.  The width is the narrowest of DIGIT_BITS, 2*DIGIT_BITS, ... with
     the first bound (lam_1 for rhs_formula) below 2^(bits/2); the bound must
     then grow by over 2^30 before the guard trips, which takes over 10^8
-    additions."""
+    additions.  Keys built by other means are checked with `cover` first."""
 
     def __init__(self, c: CartanA, bound: int):
         bits = DIGIT_BITS
@@ -124,9 +136,11 @@ class _Packing:
             bits *= 2
         self.bits, self.half, self.bound = bits, 1 << bits - 1, bound
         self.mask = (1 << bits) - 1
+        self.lams, self.delta = (1 << bits * c.m) - 1, 2 * c.m << bits * c.m  # Lambdas, delta
         self.size = (c.m + 1) * bits // 8
-        self.signs = sum(self.half << t for t in range(0, (c.m + 1) * bits, bits))
-        self.alpha = [self.key(simple_root(c, i)) - self.signs for i in c.nodes]
+        self.shifts = range(0, (c.m + 1) * bits, bits)
+        self.signs = sum(self.half << t for t in self.shifts)
+        self.alpha = [self.key(simple_root(c, i)) for i in c.nodes]
         code = _STRUCT_CODES.get(bits)
         if code:
             self.unpack = struct.Struct(f"<{c.m + 1}{code}").unpack
@@ -136,8 +150,12 @@ class _Packing:
                                        for t in range(0, self.size, step)]
 
     def key(self, mu) -> int:
-        return sum(v << t for v, t in zip(mu, range(0, len(mu) * self.bits, self.bits))) \
-            + self.signs
+        return sum(map(lshift, mu, self.shifts))
+
+    def cover(self, bound: int) -> None:
+        """Raise unless every coordinate within `bound` of 0 fits a digit."""
+        if bound >= self.half:
+            raise OverflowError(f"a weight coordinate may exceed the {self.bits}-bit digit")
 
     def shifted(self, terms: dict, i: int, step: int) -> dict:
         """Multiply by e^{step Lambda_i}; the caller's bound covers step."""
@@ -173,14 +191,18 @@ class _Packing:
                     out[key] = get(key, 0) - coef
                     k -= 1
         self.bound += 2 * top
-        if self.bound >= half:
-            raise OverflowError(f"a weight coordinate may exceed the {self.bits}-bit digit")
+        self.cover(self.bound)
         return out
 
     def poly(self, terms: dict) -> CharPoly:
+        f = CharPoly.__new__(CharPoly)
+        f._packed = self, terms
+        return f
+
+    def unpacked(self, terms: dict) -> dict:
         unpack, signs, size = self.unpack, self.signs, self.size
-        return CharPoly({_vec(unpack((key ^ signs).to_bytes(size, "little"))): coef
-                         for key, coef in terms.items()})
+        return {_vec(unpack((key ^ signs).to_bytes(size, "little"))): coef
+                for key, coef in terms.items() if coef}
 
 
 def demazure_op(c: CartanA, i: int, f: CharPoly) -> CharPoly:
@@ -194,7 +216,7 @@ def demazure_word(c: CartanA, word, f: CharPoly) -> CharPoly:
     for i in word:
         c.check_node(i)
     keys = _Packing(c, max(map(abs, chain.from_iterable(f.terms)), default=0))
-    terms = {keys.key(mu): coef for mu, coef in f.terms.items()}
+    terms = {keys.signs + keys.key(mu): coef for mu, coef in f.terms.items()}
     for i in reversed(word):
         terms = keys.demazure(i, terms)
     return keys.poly(terms)
@@ -205,7 +227,7 @@ def sigma_act(c: CartanA, k: int, f: CharPoly) -> CharPoly:
     return CharPoly({rotate(c, k, mu): coef for mu, coef in f.terms.items()})
 
 
-def rhs_formula(c: CartanA, lam, words, taus) -> CharPoly:
+def rhs_formula(c: CartanA, lam, words, taus, keys: _Packing | None = None):
     """Nested Demazure-operator character: with lam^j = lam_j - lam_{j+1},
     g_p = D_{w_p} tau_p(e^{lam^p Lambda_0}) and
     g_j = D_{w_j} tau_j(e^{lam^j Lambda_0} * g_{j+1}); returns g_1.
@@ -217,7 +239,8 @@ def rhs_formula(c: CartanA, lam, words, taus) -> CharPoly:
     K_j = tau_1 + ... + tau_j, level j then applies its letters i as
     D_{i + K_{j-1}} and its shift as e^{lam^j Lambda_{K_j}}, all on one
     packed dict (see _Packing): the final keys unpack straight into g_1.
-    The shifts add up to lam_1, which sizes the digits."""
+    The shifts add up to lam_1, which sizes the digits.  With `keys`, a
+    _Packing sized for lam_1, returns g_1's {key: coef} map of nonzero terms."""
     lam = tuple(int(v) for v in lam)
     words = tuple(tuple(w) for w in words)
     taus = tuple(int(t) for t in taus)
@@ -228,31 +251,26 @@ def rhs_formula(c: CartanA, lam, words, taus) -> CharPoly:
         raise ValueError("lambda must be weakly decreasing and nonnegative")
     for i in chain.from_iterable(words):
         c.check_node(i)
-    keys = _Packing(c, lam[0] if p else 0)
-    terms = {keys.signs: 1}
+    packing = keys or _Packing(c, lam[0] if p else 0)
+    terms = {packing.signs: 1}
     turn = sum(taus)
     for j in range(p - 1, -1, -1):
         step = lam[j] - (lam[j + 1] if j + 1 < p else 0)
-        terms = keys.shifted(terms, turn % c.m, step)
+        terms = packing.shifted(terms, turn % c.m, step)
         turn -= taus[j]
         for i in reversed(words[j]):
-            terms = keys.demazure((i + turn) % c.m, terms)
-    return keys.poly(terms)
+            terms = packing.demazure((i + turn) % c.m, terms)
+    return packing.poly(terms) if keys is None else {k: v for k, v in terms.items() if v}
 
 
-def fit_delta_shift(lhs: CharPoly, rhs: CharPoly):
-    """Find the rational C with lhs * e^{C delta} = rhs, matching terms by
-    Lambda coordinates.  Returns (ok, C); C is None on structural mismatch.
-    The lowest terms fix the shift, an integer multiple of delta / 2m."""
-    if len(lhs) != len(rhs):
+def fit_delta_shift(lhs: dict, rhs: dict, keys: _Packing):
+    """Find the rational C with lhs * e^{C delta} = rhs on {key: coef} maps of
+    one packing (zeros only in rhs); (ok, C), C None on mismatch.  Keys keep
+    their order under a delta-translate, so the lowest keys fix the shift."""
+    rhs = {key: coef for key, coef in rhs.items() if coef}
+    by = min(rhs, default=0) - min(lhs, default=0)
+    # the shift moves no Lambda digit, and equal sizes make a match injective
+    if len(rhs) != len(lhs) or by & keys.lams or any(
+            rhs.get(key + by) != coef for key, coef in lhs.items()):
         return False, None
-    if not lhs:
-        return True, Fraction(0)
-    by = min(rhs.terms) - min(lhs.terms)
-    if any(by.lam):
-        return False, None
-    # only the delta coordinate moves; equal sizes make a match injective
-    d, get = by[-1], rhs.terms.get
-    if any(get(mu[:-1] + (mu[-1] + d,)) != coef for mu, coef in lhs.terms.items()):
-        return False, None
-    return True, by.dlt
+    return True, Fraction(by, keys.delta)

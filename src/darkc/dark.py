@@ -5,8 +5,9 @@ A DARK set for data (lambda, r, words) is built right to left: close the
 distinguished element of the innermost factor along its word, twist, tensor
 the next distinguished element on the left, close again, and so on.  Its
 character, graded by the energy statistic, must match the nested Demazure
-operator formula up to one global shift e^{C delta}; verify fits C and tests
-the match exactly.
+operator formula up to one global shift e^{C delta}.  verify packs both sides
+on one charring._Packing, the lhs only once a bound shows that no digit can
+carry, and fits C on the packed keys.
 
 `build` works on integer codes (`crystal.Codes`): an element of
 B_j (x) ... (x) B_p is one int, its position a*len(P) + c in canonical order,
@@ -32,10 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
-from operator import mul
 
-from .cartan import CartanA, aff_level_zero, delta_weight, fundamental_weight
-from .charring import CharPoly, fit_delta_shift, rhs_formula
+from .cartan import CartanA, aff_level_zero
+from .charring import _Packing, fit_delta_shift, rhs_formula
 from .crystal import EAGER_ROWS, Codes, Memo, TensorElt, factor_texts
 from .energy import total_D
 from .kr import find_b_rs, generate
@@ -217,61 +217,45 @@ def well_definedness_check(spec: DarkSpec, cap: int = 10) -> bool:
     return True
 
 
-def lhs_character(spec: DarkSpec, dark: DarkSet) -> CharPoly:
-    """sum over the set of e^{lam_1 Lambda_0 + aff(wt(b)) - D(b) delta},
-    i.e. the energy-adjusted character without the unknown e^{C delta}."""
-    c = spec.cartan
-    base = spec.lam[0] * fundamental_weight(c, 0)
-    delta = delta_weight(c)
-    counts = _weight_counts(dark.product, dark.energies)
-    # one affine weight per distinct wt and per distinct D, one sum per pair
-    level = {wt: base + aff_level_zero(c, wt) for wt in {wt for wt, _ in counts}}
-    shift = {d: d * delta for d in {d for _, d in counts}}
-    return CharPoly({level[wt] - shift[d]: k for (wt, d), k in counts.items()})
-
-
-def _weight_counts(space: Codes, energies: dict) -> dict:
-    """{(wt, D): count} over a {code: D} map.  One table: wt is read off it.
-    Otherwise each code x = a*len(P) + c gets one int key, the left factor's
-    packed weight plus P's, and each distinct key is unpacked once.  A weight
-    coordinate lies within `reach`, the sum of the tables' largest, of 0, so a
-    digit holds it plus reach and a digit of the sum never carries."""
-    left, right = space.left, space.right
-    if len(space.tables) == 1:
-        return Counter(zip(map(left.wt.__getitem__, energies), energies.values()))
+def lhs_character(spec: DarkSpec, dark: DarkSet, keys: _Packing | None = None):
+    """sum over the set of e^{lam_1 Lambda_0 + aff(wt(b)) - D(b) delta}, the
+    energy-adjusted character without the unknown e^{C delta}; with `keys`,
+    the _Packing that verify shares, its Counter {key: count}.  aff is linear:
+    code x = a*len(P) + c has the key kl[a] + kr[c] + shift[D], kl and kr lists
+    if the set has 4 elements per table row, else filled as it reaches rows.  No
+    digit carries: a Lambda coordinate is at most lam_1 + reach, the sum of the
+    tables' largest weight coordinates, a delta numerator reach * sum_j j(m-j) + 2m max|D|."""
+    c, space, energies = spec.cartan, dark.product, dark.energies
+    packing = keys or _Packing(c, spec.lam[0])
     reach = sum(max(map(abs, chain.from_iterable(t.wt))) for t in space.tables)
-    bits = (2 * reach + 1).bit_length()
-    shifts = range(0, bits * len(left.wt[0]), bits)
-    radix = [1 << k for k in shifts]
-    offset = reach * sum(radix)
-    keys_left = [sum(map(mul, w, radix)) + offset for w in left.wt]
-    keys_right = Memo(lambda c: sum(map(mul, right.wt[c], radix)))
-    n = space.width
-    keys = (keys_left[x // n] + keys_right[x % n] for x in energies)
-    counts = Counter(zip(keys, energies.values()))
-    mask = (1 << bits) - 1
-    weights = {key: tuple((key >> k & mask) - reach for k in shifts)
-               for key in {key for key, _ in counts}}
-    return {(weights[key], d): count for (key, d), count in counts.items()}
+    depth = max(map(abs, energies.values()), default=0)
+    packing.cover(max(spec.lam[0] + reach, reach * sum(c.d_numerators) + 2 * c.m * depth))
+    def row_keys(table, rows):
+        fill = lambda x: packing.key(aff_level_zero(c, table.wt[x]))
+        return list(map(fill, range(rows))) if 4 * rows <= len(energies) else Memo(fill)
+    n, shift = space.width, Memo(lambda d: packing.signs + spec.lam[0] - d * packing.delta)
+    kl, kr = row_keys(space.left, len(space.left.wt)), row_keys(space.right, n)
+    counts = Counter(kl[x // n] + kr[x % n] + shift[d] for x, d in energies.items())
+    return counts if keys else packing.poly(counts)
 
 
-def rhs_character(spec: DarkSpec) -> CharPoly:
+def rhs_character(spec: DarkSpec, *, keys: _Packing | None = None):
     # tau_r = r, the rotation of weyl.kr_translation_data
-    return rhs_formula(spec.cartan, spec.lam, tuple(fw.letters for fw in spec.words), spec.r)
+    return rhs_formula(spec.cartan, spec.lam, [fw.letters for fw in spec.words], spec.r, keys)
 
 
 def verify(spec: DarkSpec) -> tuple[bool, Fraction | None]:
     """Check the character identity; returns (ok, fitted C)."""
-    ok, shift, _, _ = verify_detail(spec)
-    return ok, shift
+    return verify_detail(spec)[:2]
 
 
 def verify_detail(spec: DarkSpec):
     """As verify, but also returns both characters for diagnostics."""
-    lhs = lhs_character(spec, build(spec))
-    rhs = rhs_character(spec)
-    ok, shift = fit_delta_shift(lhs, rhs)
-    return ok, shift, lhs, rhs
+    dark = build(spec)
+    keys = _Packing(spec.cartan, spec.lam[0])
+    lhs, rhs = lhs_character(spec, dark, keys), rhs_character(spec, keys=keys)
+    ok, shift = fit_delta_shift(lhs, rhs, keys)
+    return ok, shift, keys.poly(lhs), keys.poly(rhs)
 
 
 def typeA_rows(n: int, lam, classical_words) -> DarkSet:

@@ -344,18 +344,16 @@ class EnergyOracle:
     At the pair of classical highest elements R swaps the factors and H is 0.
     R commutes with every e_i and f_i.  Classical arrows preserve H, and a
     0-arrow shifts it by +1 / -1 when e_0 acts on the left / right factor both
-    before and after applying R.  The search runs on the arrays of the pair's
-    two ProductTables.  Construction raises ModelConsistencyError when two
-    paths disagree or the search misses a pair."""
+    before and after applying R.  The search runs on the arrays of `pair`,
+    B1 (x) B2, and `swapped`, B2 (x) B1; construction raises
+    ModelConsistencyError when two paths disagree or it misses a pair."""
 
-    def __init__(self, c: CartanA, shape_left, shape_right):
-        left = generate(c, *shape_left)
-        right = generate(c, *shape_right)
+    def __init__(self, pair: ProductTable, swapped: ProductTable):
+        c = pair.cartan
+        left, right = pair.left.elements, pair.right.elements
         u1, _ = classical_highest_path(left[0])
         u2, _ = classical_highest_path(right[0])
         n1, n2 = len(left), len(right)
-        pair = ProductTable(left[0].table, right[0].table)
-        swapped = ProductTable(right[0].table, left[0].table)
         start = u1.pos * n2 + u2.pos
         R, H = [-1] * (n1 * n2), [0] * (n1 * n2)  # R[x] < 0: x not reached yet
         R[start], H[start] = u2.pos * n1 + u1.pos, 0
@@ -403,9 +401,9 @@ class EnergyOracle:
 def _check_pair_energy(c: CartanA, sh1, sh2) -> None:
     """R and H of energy_table against EnergyOracle, R^2 = id, and R commuting
     with every e_i and f_i, on the arrays of B1 (x) B2 and B2 (x) B1."""
-    oracle = EnergyOracle(c, sh1, sh2)
     left, right = generate(c, *sh1)[0].table, generate(c, *sh2)[0].table
     pair, swapped = ProductTable(left, right), ProductTable(right, left)
+    oracle = EnergyOracle(pair, swapped)
     table, back = energy_table(c, sh1, sh2), energy_table(c, sh2, sh1)
     R = []  # R as positions, pair -> swapped
     for a, A in enumerate(left.elements):

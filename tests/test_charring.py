@@ -1,7 +1,8 @@
+import pickle
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import add
 from pathlib import Path
 
@@ -9,8 +10,8 @@ import pytest
 
 from darkc import charring
 from darkc.cartan import AffineWeight, CartanA, _vec, simple_root
-from darkc.charring import (CharPoly, char_from_json, char_to_json, demazure_op,
-                            demazure_word, fit_delta_shift, rhs_formula,
+from darkc.charring import (CharPoly, _Packing, char_from_json, char_to_json,
+                            demazure_op, demazure_word, fit_delta_shift, rhs_formula,
                             sigma_act)
 from darkc.selftest import _random_poly, demazure_by_division, grid_specs
 
@@ -148,22 +149,92 @@ def test_rhs_formula_examples():
         rhs_formula(c, (1,), ((), ()), (1,))
 
 
+def tuple_fit(lhs, rhs):
+    """The fit on AffineWeight tuples, the reference for the fit on keys:
+    the lowest terms in tuple order fix the shift."""
+    if len(lhs) != len(rhs):
+        return False, None
+    if not lhs:
+        return True, Fraction(0)
+    by = min(rhs.terms) - min(lhs.terms)
+    if any(by.lam):
+        return False, None
+    if any(rhs.terms.get(mu + by) != coef for mu, coef in lhs.terms.items()):
+        return False, None
+    return True, by.dlt
+
+
+def key_fit(c, lhs, rhs, zeros=()):
+    """fit_delta_shift on the keys of one packing wide enough for both
+    sides; the rhs map also holds the weights `zeros` with coefficient 0."""
+    weights = list(chain(lhs.terms, rhs.terms, zeros))
+    keys = _Packing(c, max(map(abs, chain.from_iterable(weights)), default=0))
+    right = {keys.signs + keys.key(mu): 0 for mu in zeros}
+    right.update({keys.signs + keys.key(mu): coef for mu, coef in rhs.terms.items()})
+    return fit_delta_shift({keys.signs + keys.key(mu): coef for mu, coef in lhs.terms.items()},
+                           right, keys)
+
+
+def fit(c, lhs, rhs, zeros=()):
+    got = key_fit(c, lhs, rhs, zeros)
+    assert got == tuple_fit(lhs, rhs), (lhs, rhs, zeros)
+    return got
+
+
 def test_fit_delta_shift():
     c = CartanA(1)
     delta_half = AffineWeight((0, 0), Fraction(1, 2))
     f = mono((0, 1)) + mono((2, -1), Fraction(-1, 4))
     g = f.shifted(delta_half)
-    ok, shift = fit_delta_shift(f, g)
+    ok, shift = fit(c, f, g)
     assert ok and shift == Fraction(1, 2)
-    ok, shift = fit_delta_shift(f, f + mono((1, 0)))
+    ok, shift = fit(c, f, f + mono((1, 0)))
     assert not ok and shift is None
     # same lambda parts but inconsistent delta offsets
     h = mono((0, 1)) + mono((2, -1), Fraction(1, 4))
-    ok, shift = fit_delta_shift(f, h)
+    ok, shift = fit(c, f, h)
     assert not ok
     # the same exponents with one coefficient changed
-    ok, shift = fit_delta_shift(f, g + mono((0, 1), Fraction(1, 2)))
+    ok, shift = fit(c, f, g + mono((0, 1), Fraction(1, 2)))
     assert not ok and shift is None
+    assert fit(c, CharPoly.zero(), CharPoly.zero()) == (True, 0)
+    assert fit(c, CharPoly.zero(), g) == (False, None)
+
+
+def test_fit_on_keys_matches_the_fit_on_tuples():
+    rng = random.Random(1601)
+    seen, cancelled_terms = set(), 0
+    for _ in range(400):
+        c = CartanA(rng.randint(1, 5))
+        f = _random_poly(rng, c, rng.randint(1, 8))
+        if not f:
+            continue
+        shift = Fraction(rng.randint(-40, 40), 2 * c.m)  # whole, negative, 1/2m
+        g = f.shifted(AffineWeight((0,) * c.m, shift))
+        zeros = [AffineWeight(tuple(rng.randint(-3, 3) for _ in range(c.m)), shift)
+                 for _ in range(rng.randint(0, 3))]
+        zeros = [mu for mu in zeros if mu not in g.terms]  # cancelled terms
+        cancelled_terms += len(zeros)
+        cases = {
+            "translate": (g, ()),
+            "translate with zeros": (g, zeros),
+            "lambda moved": (f.shifted(AffineWeight((1, -1) + (0,) * (c.m - 2), shift)), ()),
+            "one term moved": (CharPoly(dict(chain(list(g.terms.items())[1:], [(
+                AffineWeight(tuple(rng.randint(-3, 3) for _ in range(c.m)), 0), 1)]))), zeros),
+            "one coefficient changed": (g + CharPoly.monomial(min(g.terms)), zeros),
+            "one term more": (g + mono((5,) + (0,) * c.n, shift), zeros),
+            "one term less": (CharPoly(dict(list(g.terms.items())[1:])), ()),
+        }
+        for name, (rhs, cancelled) in cases.items():
+            ok, got = fit(c, f, rhs, cancelled)
+            seen.add((name, ok))
+            if name.startswith("translate"):
+                assert ok and got == shift
+    # each kind of non-translate failed at least once, and zeros were tried
+    failing = ("lambda moved", "one term moved", "one coefficient changed",
+               "one term more", "one term less")
+    assert {(name, False) for name in failing} <= seen
+    assert cancelled_terms > 0
 
 
 def test_char_json_round_trip_and_golden():
@@ -175,6 +246,16 @@ def test_char_json_round_trip_and_golden():
         {"lam": [2, -1], "delta": "-1/2", "coef": 1},
     ]
     assert char_from_json(blob) == f
+
+
+def test_packed_polys_pickle_like_their_terms():
+    # rhs_formula and demazure_word return CharPolys that unpack their keys
+    # when first read; pickling reads them, before or after any other read
+    c, args = CartanA(2), ((2, 1), ((1,), (2,)), (1, 1))
+    want = nested_rhs(c, *args)
+    assert pickle.loads(pickle.dumps(rhs_formula(c, *args))) == want
+    f = demazure_word(c, (1, 2), mono((1, 1, 0)))
+    assert len(f) == 2 and pickle.loads(pickle.dumps(f)).terms == f.terms
 
 
 def tuple_demazure(c, i, f):

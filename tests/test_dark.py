@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from darkc import cli, energy, kr
+from darkc import charring, cli, energy, kr
 from darkc.cartan import CartanA
-from darkc.crystal import (Codes, ModelConsistencyError, ProductTable, TensorElt,
+from darkc.crystal import (Codes, Memo, ModelConsistencyError, ProductTable, TensorElt,
                            demazure_closure)
 from darkc.dark import (DarkSpec, FactorWord, _close, build, dark_from_json,
                         dark_to_json, full_tensor, i_string_report,
-                        lhs_character, make_spec, typeA_rows, verify,
+                        lhs_character, make_spec, typeA_rows, verify, verify_detail,
                         well_definedness_check)
 from darkc.charring import CharPoly, char_to_json
 from darkc.cartan import AffineWeight, aff_level_zero, delta_weight, fundamental_weight
@@ -306,15 +306,21 @@ def test_packed_weight_count_matches_the_tuple_fold(group):
         assert lhs_character(spec, dark) == folded_lhs(spec, dark), spec
 
 
-def test_packed_weight_digits_follow_the_table_weights(fresh_tables):
-    # the digits are sized from the tables' largest weight coordinates, not
+def test_packed_weight_digits_follow_the_table_weights(fresh_tables, monkeypatch):
+    # the lhs bound comes from the tables' largest weight coordinates, not
     # from their boxes: a coordinate of 7 in B^{1,1} puts sums of up to 14
-    # in a digit of B^{1,1} (x) B^{1,1}, and the count must stay exact
+    # in a digit of B^{1,1} (x) B^{1,1}, and the count must stay exact; a
+    # Lambda_0 coordinate of 201 must raise before it carries an 8-bit digit
     spec = make_spec(1, (1, 1), words=[(1,), ()])
     dark = build(spec)
     table = dark.product.left
     table.wt = [(7, -7)] + table.wt[1:]
     assert lhs_character(spec, dark) == folded_lhs(spec, dark)
+    table.wt = [(200, -200)] + table.wt[1:]
+    assert max(mu[0] for mu in folded_lhs(spec, dark).terms) > 127
+    monkeypatch.setattr(charring, "DIGIT_BITS", 8)
+    with pytest.raises(OverflowError, match="8-bit digit"):
+        lhs_character(spec, dark)
 
 
 def test_sparse_set_reads_few_rows_of_a_large_product():
@@ -327,6 +333,45 @@ def test_sparse_set_reads_few_rows_of_a_large_product():
     assert not isinstance(rows, ProductTable)
     assert sum(map(len, rows.stats + rows.f + rows.pr_powers)) <= 5
     assert verify(spec) == (True, Fraction(-144, 5))
+
+
+def test_a_sparse_set_packs_only_the_rows_it_reaches(monkeypatch):
+    # the distinguished element alone in B^{2,3} at n = 4, three times: P has
+    # 175^2 rows, read row by row, and the lhs fills the key of no row, of
+    # either factor, that the one-element set does not reach
+    spec = make_spec(4, (3, 3, 3), r=(2, 2, 2))
+    dark = build(spec)
+    assert len(dark) == 1 and dark.product.width == 175 ** 2
+    assert not isinstance(dark.product.right, ProductTable)
+    filled = []
+
+    class Recorded(Memo):
+        def __init__(self, fill):
+            super().__init__(fill)
+            filled.append(self)
+
+    monkeypatch.setattr("darkc.dark.Memo", Recorded)
+    assert verify(spec) == (True, Fraction(-81, 5))
+    assert filled and all(len(keys) <= len(dark) for keys in filled)
+
+
+def test_an_lhs_beyond_its_digit_raises_before_it_carries(monkeypatch, capsys):
+    # a delta numerator of this lhs is 128, which an 8-bit digit cannot hold:
+    # verify must raise, and the CLI exit 3, never report a wrong identity
+    spec = workloads.maximal_spec(1, (2,) * 8, (1,) * 8)
+    dark = build(spec)
+    assert max(mu[-1] for mu in lhs_character(spec, dark).terms) > 127
+    monkeypatch.setattr(charring, "DIGIT_BITS", 8)
+    with pytest.raises(OverflowError, match="8-bit digit"):
+        lhs_character(spec, dark)
+    with pytest.raises(OverflowError, match="8-bit digit"):
+        verify_detail(spec)
+    word = " ".join(map(str, spec.words[0].letters))
+    code = cli.main(["verify", "--n", "1", "--lambda", ",".join("2" * 8),
+                     "--w", ";".join([word] * 8)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("darkc: internal error: ") and "OverflowError" in err
 
 
 def test_closure_walks_D_at_f0_arrivals():

@@ -5,7 +5,7 @@ import pytest
 
 from darkc import energy
 from darkc.cartan import CartanA
-from darkc.crystal import Codes, TensorElt, classical_highest_path
+from darkc.crystal import Codes, ProductTable, TensorElt, classical_highest_path
 from darkc.energy import comb_R, local_H
 from darkc.kr import find_b_rs, generate, parse_tableau, parse_tensor
 from darkc.selftest import AXIOM_RANKS, PRODUCT_CAP, EnergyOracle, single_shapes
@@ -107,13 +107,19 @@ def test_r_squared_identity_mixed_shapes():
         assert comb_R(comb_R(x)) == x
 
 
+def shape_oracle(c, sh1, sh2):
+    """The EnergyOracle of B^{sh1} (x) B^{sh2}."""
+    left, right = generate(c, *sh1)[0].table, generate(c, *sh2)[0].table
+    return EnergyOracle(ProductTable(left, right), ProductTable(right, left))
+
+
 def test_energy_tables_build_on_grid_pairs():
     # oracle construction itself asserts BFS consistency and connectedness
     for n in (1, 2):
         c = CartanA(n)
         shapes = [(r, s) for r in range(1, min(n, 2) + 1) for s in (1, 2)]
         for sh1, sh2 in product(shapes, repeat=2):
-            table = EnergyOracle(c, sh1, sh2)
+            table = shape_oracle(c, sh1, sh2)
             assert len(table.H) == len(generate(c, *sh1)) * len(generate(c, *sh2))
 
 
@@ -125,7 +131,7 @@ def test_energy_tables_build_on_grid_pairs():
 ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"n{v}")
 def test_lazy_entries_match_oracle(n, sh1, sh2):
     c = CartanA(n)
-    oracle = EnergyOracle(c, sh1, sh2)
+    oracle = shape_oracle(c, sh1, sh2)
     for a, b in product(generate(c, *sh1), generate(c, *sh2)):
         x = TensorElt((a, b))
         assert comb_R(x).factors == oracle.R[(a, b)]
@@ -180,7 +186,7 @@ def test_the_oracle_meets_the_plactic_invariants_on_every_grid_pair():
         for sh1, sh2 in product(single_shapes(n), repeat=2):
             if len(generate(c, *sh1)) * len(generate(c, *sh2)) > PRODUCT_CAP:
                 continue
-            oracle = EnergyOracle(c, sh1, sh2)
+            oracle = shape_oracle(c, sh1, sh2)
             rows = max(sh1[0], sh2[0])
             for x, rx in oracle.R.items():
                 P = insertion_tableau(tensor_word(TensorElt(x)))

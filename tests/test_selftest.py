@@ -8,7 +8,7 @@ import pytest
 
 from darkc import energy, selftest
 from darkc.cartan import CartanA
-from darkc.crystal import ModelConsistencyError, TensorElt
+from darkc.crystal import ModelConsistencyError, ProductTable, TensorElt
 from darkc.kr import generate
 from darkc.selftest import (CheckFailure, EnergyOracle, _check_pair_energy, _tensor_twists,
                             criterion_axioms, criterion_energy, criterion_twists)
@@ -36,7 +36,8 @@ def test_a_broken_arrow_fails_both_code_criteria(monkeypatch):
     table = generate(c, 1, 2)[0].table
     table.stats, table.pr_powers, table.wt  # built from the intact arrows
     monkeypatch.setattr(energy, "_TABLES", {})
-    oracle = EnergyOracle(c, (1, 1), (1, 2))
+    left = generate(c, 1, 1)[0].table
+    oracle = EnergyOracle(ProductTable(left, table), ProductTable(table, left))
     _check_pair_energy(c, (1, 1), (1, 2))  # fills the R/H tables of the pair
     broken = list(table.f[1])
     broken[table.index[(2, 0, 0)]] = table.index[(1, 0, 1)]  # row contents
