@@ -132,7 +132,7 @@ class _Packing:
 
     def __init__(self, c: CartanA, bound: int):
         bits = DIGIT_BITS
-        while bound >> bits // 2:
+        while abs(bound) >> bits // 2:
             bits *= 2
         self.bits, self.half, self.bound = bits, 1 << bits - 1, bound
         self.mask = (1 << bits) - 1

@@ -229,7 +229,7 @@ def lhs_character(spec: DarkSpec, dark: DarkSet, keys: _Packing | None = None):
     packing = keys or _Packing(c, spec.lam[0])
     reach = sum(max(map(abs, chain.from_iterable(t.wt))) for t in space.tables)
     depth = max(map(abs, energies.values()), default=0)
-    packing.cover(max(spec.lam[0] + reach, reach * sum(c.d_numerators) + 2 * c.m * depth))
+    packing.cover(max(abs(spec.lam[0]) + reach, reach * sum(c.d_numerators) + 2 * c.m * depth))
     def row_keys(table, rows):
         fill = lambda x: packing.key(aff_level_zero(c, table.wt[x]))
         return list(map(fill, range(rows))) if 4 * rows <= len(energies) else Memo(fill)

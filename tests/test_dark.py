@@ -11,7 +11,7 @@ from darkc import charring, cli, energy, kr
 from darkc.cartan import CartanA
 from darkc.crystal import (Codes, Memo, ModelConsistencyError, ProductTable, TensorElt,
                            demazure_closure)
-from darkc.dark import (DarkSpec, FactorWord, _close, build, dark_from_json,
+from darkc.dark import (DarkSet, DarkSpec, FactorWord, _close, build, dark_from_json,
                         dark_to_json, full_tensor, i_string_report,
                         lhs_character, make_spec, typeA_rows, verify, verify_detail,
                         well_definedness_check)
@@ -321,6 +321,15 @@ def test_packed_weight_digits_follow_the_table_weights(fresh_tables, monkeypatch
     monkeypatch.setattr(charring, "DIGIT_BITS", 8)
     with pytest.raises(OverflowError, match="8-bit digit"):
         lhs_character(spec, dark)
+
+
+def test_lhs_of_an_unchecked_spec_with_a_negative_part(fresh_tables):
+    # lhs_character takes its spec as given: a negative lam_1 must size the
+    # digits and the carry bound by its absolute value, not loop or carry
+    spec = make_spec(1, (1,), words=[(1,)])
+    dark = build(spec)
+    bad = DarkSpec(spec.cartan, (-1,), spec.r, spec.words)
+    assert lhs_character(bad, DarkSet(bad, dark.product, dark.energies)) == folded_lhs(bad, dark)
 
 
 def test_sparse_set_reads_few_rows_of_a_large_product():
