@@ -11,8 +11,8 @@ Every D_i runs in one kernel, _Packing.demazure, on one packed int key per
 monomial: a fixed-width digit per coordinate, sized so that no digit carries,
 and a guard that raises rather than return a result that could have carried.
 rhs_formula never rotates a term: the rotations of the nested formula are
-folded into the letters and the Lambda_0 shifts (see its docstring).  `verify`
-fits the shift on the keys of both sides; a CharPoly unpacks when first read.
+folded into the letters and the Lambda_0 shifts (see its docstring).  Both
+sides of the identity are packed at the width of lam_1, and the fit compares keys.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .cartan import (AffineWeight, CartanA, _vec, rotate, simple_root,
 
 class CharPoly:
     """Finitely supported map AffineWeight -> int; zero coefficients dropped.
-    One made by _Packing.poly keeps its packed keys until `terms` is read."""
+    One made by _Packing.poly keeps only its packed keys until `terms` is read."""
 
     __slots__ = ("terms", "_packed")
 
@@ -44,6 +44,7 @@ class CharPoly:
         if name != "terms":
             raise AttributeError(name)
         self.terms = _Packing.unpacked(*self._packed)
+        del self._packed
         return self.terms
 
     def __reduce__(self):
@@ -61,11 +62,9 @@ class CharPoly:
     def one(cls, c: CartanA) -> "CharPoly":
         return cls.monomial(zero_weight(c))
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __len__(self):
-        return len(self.terms)
+        packed = getattr(self, "_packed", None)
+        return len(self.terms if packed is None else packed[1])
 
     def __eq__(self, other):
         return isinstance(other, CharPoly) and self.terms == other.terms
@@ -126,7 +125,7 @@ class _Packing:
     each operator adds twice its largest |pairing| to the bound, and raises
     OverflowError instead of returning once the bound leaves the digit's
     range.  The width is the narrowest of DIGIT_BITS, 2*DIGIT_BITS, ... with
-    the first bound (lam_1 for rhs_formula) below 2^(bits/2); the bound must
+    the first bound (lam_1 for both sides) below 2^(bits/2); the bound must
     then grow by over 2^30 before the guard trips, which takes over 10^8
     additions.  Keys built by other means are checked with `cover` first."""
 
@@ -195,14 +194,15 @@ class _Packing:
         return out
 
     def poly(self, terms: dict) -> CharPoly:
+        """The CharPoly of the nonzero terms, unpacked when first read."""
         f = CharPoly.__new__(CharPoly)
-        f._packed = self, terms
+        f._packed = self, {key: coef for key, coef in terms.items() if coef}
         return f
 
     def unpacked(self, terms: dict) -> dict:
         unpack, signs, size = self.unpack, self.signs, self.size
         return {_vec(unpack((key ^ signs).to_bytes(size, "little"))): coef
-                for key, coef in terms.items() if coef}
+                for key, coef in terms.items()}
 
 
 def demazure_op(c: CartanA, i: int, f: CharPoly) -> CharPoly:
@@ -227,7 +227,7 @@ def sigma_act(c: CartanA, k: int, f: CharPoly) -> CharPoly:
     return CharPoly({rotate(c, k, mu): coef for mu, coef in f.terms.items()})
 
 
-def rhs_formula(c: CartanA, lam, words, taus, keys: _Packing | None = None):
+def rhs_formula(c: CartanA, lam, words, taus) -> CharPoly:
     """Nested Demazure-operator character: with lam^j = lam_j - lam_{j+1},
     g_p = D_{w_p} tau_p(e^{lam^p Lambda_0}) and
     g_j = D_{w_j} tau_j(e^{lam^j Lambda_0} * g_{j+1}); returns g_1.
@@ -239,8 +239,7 @@ def rhs_formula(c: CartanA, lam, words, taus, keys: _Packing | None = None):
     K_j = tau_1 + ... + tau_j, level j then applies its letters i as
     D_{i + K_{j-1}} and its shift as e^{lam^j Lambda_{K_j}}, all on one
     packed dict (see _Packing): the final keys unpack straight into g_1.
-    The shifts add up to lam_1, which sizes the digits.  With `keys`, a
-    _Packing sized for lam_1, returns g_1's {key: coef} map of nonzero terms."""
+    The shifts add up to lam_1, which sizes the digits."""
     lam = tuple(int(v) for v in lam)
     words = tuple(tuple(w) for w in words)
     taus = tuple(int(t) for t in taus)
@@ -251,7 +250,7 @@ def rhs_formula(c: CartanA, lam, words, taus, keys: _Packing | None = None):
         raise ValueError("lambda must be weakly decreasing and nonnegative")
     for i in chain.from_iterable(words):
         c.check_node(i)
-    packing = keys or _Packing(c, lam[0] if p else 0)
+    packing = _Packing(c, lam[0] if p else 0)
     terms = {packing.signs: 1}
     turn = sum(taus)
     for j in range(p - 1, -1, -1):
@@ -260,14 +259,17 @@ def rhs_formula(c: CartanA, lam, words, taus, keys: _Packing | None = None):
         turn -= taus[j]
         for i in reversed(words[j]):
             terms = packing.demazure((i + turn) % c.m, terms)
-    return packing.poly(terms) if keys is None else {k: v for k, v in terms.items() if v}
+    return packing.poly(terms)
 
 
-def fit_delta_shift(lhs: dict, rhs: dict, keys: _Packing):
-    """Find the rational C with lhs * e^{C delta} = rhs on {key: coef} maps of
-    one packing (zeros only in rhs); (ok, C), C None on mismatch.  Keys keep
-    their order under a delta-translate, so the lowest keys fix the shift."""
-    rhs = {key: coef for key, coef in rhs.items() if coef}
+def fit_delta_shift(lhs: CharPoly, rhs: CharPoly):
+    """Find the rational C with lhs * e^{C delta} = rhs; (ok, C), C None on
+    mismatch.  Both sides are CharPolys of _Packing.poly not yet read, packed
+    at one width.  Keys keep their order under a delta-translate, so the
+    lowest keys fix the shift."""
+    (keys, lhs), (other, rhs) = lhs._packed, rhs._packed
+    if other.signs != keys.signs:
+        raise ValueError("the two sides are packed at different widths")
     by = min(rhs, default=0) - min(lhs, default=0)
     # the shift moves no Lambda digit, and equal sizes make a match injective
     if len(rhs) != len(lhs) or by & keys.lams or any(

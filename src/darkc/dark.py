@@ -5,9 +5,9 @@ A DARK set for data (lambda, r, words) is built right to left: close the
 distinguished element of the innermost factor along its word, twist, tensor
 the next distinguished element on the left, close again, and so on.  Its
 character, graded by the energy statistic, must match the nested Demazure
-operator formula up to one global shift e^{C delta}.  verify packs both sides
-on one charring._Packing, the lhs only once a bound shows that no digit can
-carry, and fits C on the packed keys.
+operator formula up to one global shift e^{C delta}.  Both sides are packed
+as charring._Packing keys at the digit width of lam_1, the lhs only once a
+bound shows that no digit can carry, and verify fits C on the keys.
 
 `build` works on integer codes (`crystal.Codes`): an element of
 B_j (x) ... (x) B_p is one int, its position a*len(P) + c in canonical order,
@@ -217,31 +217,31 @@ def well_definedness_check(spec: DarkSpec, cap: int = 10) -> bool:
     return True
 
 
-def lhs_character(spec: DarkSpec, dark: DarkSet, keys: _Packing | None = None):
+def lhs_character(spec: DarkSpec, dark: DarkSet):
     """sum over the set of e^{lam_1 Lambda_0 + aff(wt(b)) - D(b) delta}, the
-    energy-adjusted character without the unknown e^{C delta}; with `keys`,
-    the _Packing that verify shares, its Counter {key: count}.  aff is linear:
-    code x = a*len(P) + c has the key kl[a] + kr[c] + shift[D], kl and kr lists
-    if the set has 4 elements per table row, else filled as it reaches rows.  No
-    digit carries: a Lambda coordinate is at most lam_1 + reach, the sum of the
-    tables' largest weight coordinates, a delta numerator reach * sum_j j(m-j) + 2m max|D|."""
+    energy-adjusted character without the unknown e^{C delta}, counted on the
+    keys of a _Packing at the width of lam_1.  aff is linear: code
+    x = a*len(P) + c has the key kl[a] + kr[c] + shift[D]; kl and kr are lists
+    where the set has 2 elements per table row (faster reads outweigh unread
+    rows there), else filled as the set reaches rows.  No digit carries: a
+    Lambda coordinate is at most lam_1 + reach, the sum of the tables' largest
+    weight coordinates, a delta numerator reach * sum_j j(m-j) + 2m max|D|."""
     c, space, energies = spec.cartan, dark.product, dark.energies
-    packing = keys or _Packing(c, spec.lam[0])
+    packing = _Packing(c, spec.lam[0])
     reach = sum(max(map(abs, chain.from_iterable(t.wt))) for t in space.tables)
     depth = max(map(abs, energies.values()), default=0)
     packing.cover(max(abs(spec.lam[0]) + reach, reach * sum(c.d_numerators) + 2 * c.m * depth))
     def row_keys(table, rows):
         fill = lambda x: packing.key(aff_level_zero(c, table.wt[x]))
-        return list(map(fill, range(rows))) if 4 * rows <= len(energies) else Memo(fill)
+        return list(map(fill, range(rows))) if 2 * rows <= len(energies) else Memo(fill)
     n, shift = space.width, Memo(lambda d: packing.signs + spec.lam[0] - d * packing.delta)
     kl, kr = row_keys(space.left, len(space.left.wt)), row_keys(space.right, n)
-    counts = Counter(kl[x // n] + kr[x % n] + shift[d] for x, d in energies.items())
-    return counts if keys else packing.poly(counts)
+    return packing.poly(Counter(kl[x // n] + kr[x % n] + shift[d] for x, d in energies.items()))
 
 
-def rhs_character(spec: DarkSpec, *, keys: _Packing | None = None):
+def rhs_character(spec: DarkSpec):
     # tau_r = r, the rotation of weyl.kr_translation_data
-    return rhs_formula(spec.cartan, spec.lam, [fw.letters for fw in spec.words], spec.r, keys)
+    return rhs_formula(spec.cartan, spec.lam, [fw.letters for fw in spec.words], spec.r)
 
 
 def verify(spec: DarkSpec) -> tuple[bool, Fraction | None]:
@@ -251,11 +251,9 @@ def verify(spec: DarkSpec) -> tuple[bool, Fraction | None]:
 
 def verify_detail(spec: DarkSpec):
     """As verify, but also returns both characters for diagnostics."""
-    dark = build(spec)
-    keys = _Packing(spec.cartan, spec.lam[0])
-    lhs, rhs = lhs_character(spec, dark, keys), rhs_character(spec, keys=keys)
-    ok, shift = fit_delta_shift(lhs, rhs, keys)
-    return ok, shift, keys.poly(lhs), keys.poly(rhs)
+    lhs, rhs = lhs_character(spec, build(spec)), rhs_character(spec)
+    ok, shift = fit_delta_shift(lhs, rhs)
+    return ok, shift, lhs, rhs
 
 
 def typeA_rows(n: int, lam, classical_words) -> DarkSet:

@@ -171,8 +171,8 @@ def key_fit(c, lhs, rhs, zeros=()):
     keys = _Packing(c, max(map(abs, chain.from_iterable(weights)), default=0))
     right = {keys.signs + keys.key(mu): 0 for mu in zeros}
     right.update({keys.signs + keys.key(mu): coef for mu, coef in rhs.terms.items()})
-    return fit_delta_shift({keys.signs + keys.key(mu): coef for mu, coef in lhs.terms.items()},
-                           right, keys)
+    left = {keys.signs + keys.key(mu): coef for mu, coef in lhs.terms.items()}
+    return fit_delta_shift(keys.poly(left), keys.poly(right))
 
 
 def fit(c, lhs, rhs, zeros=()):
@@ -256,6 +256,24 @@ def test_packed_polys_pickle_like_their_terms():
     assert pickle.loads(pickle.dumps(rhs_formula(c, *args))) == want
     f = demazure_word(c, (1, 2), mono((1, 1, 0)))
     assert len(f) == 2 and pickle.loads(pickle.dumps(f)).terms == f.terms
+
+
+def test_a_packed_poly_counts_its_keys_and_keeps_one_copy():
+    # poly drops cancelled coefficients, and len counts the packed keys, so a
+    # count (as the benchmark's trace takes of the rhs) leaves them for the
+    # fit; the first read of the terms lets the packed keys go
+    c = CartanA(1)
+    keys = _Packing(c, 3)
+    f = keys.poly({keys.signs: 2, keys.signs + keys.key((1, -1, 0)): 0})
+    assert len(f) == 1 and f._packed[1] == {keys.signs: 2}
+    assert f.terms == {AffineWeight((0, 0)): 2} and len(f) == 1
+    with pytest.raises(AttributeError):
+        f._packed
+    # the fit compares keys of one width only
+    wide = _Packing(c, 1 << 40)
+    assert wide.bits != keys.bits
+    with pytest.raises(ValueError, match="different widths"):
+        fit_delta_shift(keys.poly({keys.signs: 1}), wide.poly({wide.signs: 1}))
 
 
 def tuple_demazure(c, i, f):
