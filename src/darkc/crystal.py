@@ -353,23 +353,27 @@ class ProductTable:
         n = len(right.wt)
         self.wt = [tuple(map(add, u, v)) for u in left.wt for v in right.wt]
         self.pr = [a * n + c for a in left.pr for c in right.pr]
-        self.stats, self.e, self.f = [], [], []
+        self.e, self.f = [], []
         for i in self.cartan.nodes:
             _check_live(left, i)
             _check_live(right, i)
             cols = list(zip(range(n), right.stats[i], right.e[i], right.f[i]))
-            stats, up, down = [], [], []
+            up, down = [], []
             for a, ((e1, p1), ua, da) in enumerate(zip(left.stats[i], left.e[i], left.f[i])):
                 x0, ua, da = a * n, ua * n, da * n
-                stats += [(e1 + e2 - p1, p2) if e2 > p1 else (e1, p1 + p2 - e2)
-                          for _, (e2, p2), _, _ in cols]
                 up += [x0 + uc if e2 > p1 else ua + c if e1 else -1
                        for c, (e2, _), uc, _ in cols]
                 down += [da + c if p1 > e2 else x0 + dc if p2 else -1
                          for c, (e2, p2), _, dc in cols]
-            self.stats.append(stats)
             self.e.append(up)
             self.f.append(down)
+
+    @cached_property
+    def stats(self) -> list[list[tuple[int, int]]]:
+        """Built on first read, one left row at a time over the right stats."""
+        return [[(e1 + e2 - p1, p2) if e2 > p1 else (e1, p1 + p2 - e2)
+                 for e1, p1 in self.left.stats[i] for e2, p2 in self.right.stats[i]]
+                for i in self.cartan.nodes]
 
     @cached_property
     def pr_powers(self) -> list[list[int]]:

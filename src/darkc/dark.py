@@ -39,8 +39,8 @@ from .charring import _Packing, fit_delta_shift, rhs_formula
 from .crystal import EAGER_ROWS, Codes, Memo, TensorElt, factor_texts
 from .energy import total_D
 from .kr import find_b_rs, generate
-from .weyl import (all_reduced_words, bruhat_lower_interval, from_reduced_word,
-                   from_word, kr_translation_data)
+from .weyl import (_word_window, all_reduced_words, bruhat_lower_interval,
+                   from_reduced_word, from_word, kr_translation_data)
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def validate(spec: DarkSpec) -> None:
             c.check_node(i)
         if any(i == 0 for i in fw.prefix):
             raise ValueError(f"factor {j}: classical prefix contains node 0")
-        if from_reduced_word(c.m, fw.prefix) is None:
+        if not _word_window(c.m, fw.prefix)[1]:
             raise ValueError(f"factor {j}: prefix {fw.prefix} is not reduced")
         w = from_reduced_word(c.m, fw.word)
         if w is None:

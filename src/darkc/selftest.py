@@ -22,7 +22,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import chain, product
 from math import prod
-from operator import sub
+from operator import lshift
 
 from .cartan import (AffineWeight, CartanA, cl_simple_root, reflect, rotate,
                      simple_root)
@@ -84,6 +84,12 @@ def _fail(space, msg: str, x, *args):
     raise CheckFailure(msg % ((b,) + args))
 
 
+# Criterion 1 compares weights as linear int keys sum_j w_j << KEY_BITS*j: the
+# key of wt(y) - wt(x) - alpha_i is 0 only when that vector is 0, as long as its
+# coordinates, at most 2*max|w_j| + 2 in absolute value, stay below 2**KEY_BITS.
+KEY_BITS = 8
+
+
 def criterion_axioms() -> str:
     """Crystal axioms for every node on every grid crystal and tensor, on the
     arrays of their tables."""
@@ -96,24 +102,28 @@ def criterion_axioms() -> str:
         for x, w in enumerate(wt):
             if sum(w):
                 _fail(space, "nonzero level at %r", x)
+        bound = max(max(map(max, wt)), -min(map(min, wt)))
+        if 2 * bound + 2 >= 1 << KEY_BITS:
+            raise OverflowError(f"weight coordinate {bound} leaves a {KEY_BITS}-bit digit")
+        shifts = range(0, KEY_BITS * c.m, KEY_BITS)
+        keys = [sum(map(lshift, w, shifts)) for w in wt]
         for i in c.nodes:
-            alpha = cl_simple_root(c, i)
+            alpha = sum(map(lshift, cl_simple_root(c, i), shifts))
             ups, downs = space.e[i], space.f[i]
             for x, (ep, ph) in enumerate(space.stats[i]):
-                w = wt[x]
-                if w[i] != ph - ep:
+                if wt[x][i] != ph - ep:
                     _fail(space, "weight pairing broken at %r, i=%d", x, i)
                 up = ups[x]
                 if up >= 0:
                     if downs[up] != x:
                         _fail(space, "f_i e_i != id at %r, i=%d", x, i)
-                    if tuple(map(sub, wt[up], w)) != alpha:
+                    if keys[up] - keys[x] != alpha:
                         _fail(space, "wt(e_i b) != wt(b) + alpha_i at %r, i=%d", x, i)
                 down = downs[x]
                 if down >= 0:
                     if ups[down] != x:
                         _fail(space, "e_i f_i != id at %r, i=%d", x, i)
-                    if tuple(map(sub, w, wt[down])) != alpha:
+                    if keys[x] - keys[down] != alpha:
                         _fail(space, "wt(f_i b) != wt(b) - alpha_i at %r, i=%d", x, i)
     return f"{families} crystals, {elements} elements"
 

@@ -158,7 +158,7 @@ def reduce_to_weyl(w: ExtAffPerm) -> ExtAffPerm:
     if s % w.m != 0:
         raise ValueError(f"element has Sigma class {s % w.m}, not in W modulo center")
     j = s // w.m
-    return ExtAffPerm(tuple(v - j * w.m for v in w.win))
+    return ExtAffPerm(tuple(v - j * w.m for v in w.win)) if j else w
 
 
 def eq_mod_center(a: ExtAffPerm, b: ExtAffPerm) -> bool:

@@ -1,3 +1,4 @@
+import io
 import random
 from functools import reduce
 from itertools import combinations, permutations
@@ -5,6 +6,7 @@ from operator import mul
 
 import pytest
 
+from darkc import selftest
 from darkc.cartan import CartanA
 from darkc.dark import make_spec, validate
 from darkc.weyl import (ExtAffPerm, all_reduced_words, bruhat_leq,
@@ -313,3 +315,38 @@ def test_window_invariants_after_group_ops():
             for w in (a * b, a.inverse(), b * a):
                 assert len({v % m for v in w.win}) == m
                 assert w.shift % m == 0
+
+
+def test_a_selftest_run_validates_few_windows(monkeypatch):
+    # validate reads whether a prefix is reduced off its window, and
+    # reduce_to_weyl returns an element that needs no shift: one run_all
+    # validated 20,917 windows before either, 11,801 after both
+    made = [0]
+
+    def counting(self, _post=ExtAffPerm.__post_init__):
+        made[0] += 1
+        _post(self)
+    monkeypatch.setattr(ExtAffPerm, "__post_init__", counting)
+    assert selftest.run_all(io.StringIO().write)
+    assert made[0] <= 12_000
+    monkeypatch.undo()
+    y = kr_translation_data(CartanA(2), 1)[0]
+    assert reduce_to_weyl(y) is y
+    for spec in selftest.grid_specs():
+        validate(spec)
+    for words, error, text in [
+            ([((1, 2, 1), (1,))], None, None),
+            ([((1, 1), ())], ValueError, "factor 0: prefix (1, 1) is not reduced"),
+            ([((1, 2, 1, 2), ())], ValueError, "factor 0: prefix (1, 2, 1, 2) is not reduced"),
+            ([((0,), ())], ValueError, "factor 0: classical prefix contains node 0"),
+            ([((3,), ())], IndexError, "node 3 out of range for rank 2"),
+            ([(1, 1)], ValueError, "factor 0: word (1, 1) is not reduced"),
+            ([(1, 3)], IndexError, "node 3 out of range for rank 2"),
+            ([(1, 2, 1)], ValueError, "factor 0: word (1, 2, 1) is not below y_1 in Bruhat order")]:
+        spec = make_spec(2, (1,), words=words)
+        if error is None:
+            validate(spec)
+            continue
+        with pytest.raises(error) as failure:
+            validate(spec)
+        assert failure.value.args == (text,)
