@@ -4,6 +4,7 @@ arrow in a KR table."""
 
 from collections import Counter
 from functools import cached_property
+
 import pytest
 
 from darkc import energy, kr, selftest
