@@ -343,16 +343,15 @@ class ProductTable:
     (e1, p1 + p2 - e2); e moves the right factor if e2 > p1, else the left if
     e1 > 0; f the left if p1 > e2, else the right if p2 > 0.  wt[x] sums the
     factors' weights, pr[x] and pr_powers[k][x] are the products of their
-    promotions.  The rule is associative, so a triple is
-    ProductTable(B1, ProductTable(B2, B3)).  `tables` are the KR factors."""
+    promotions; these and stats are built on first read.  The rule is
+    associative, so a triple is ProductTable(B1, ProductTable(B2, B3)).
+    `tables` are the KR factors."""
 
     def __init__(self, left, right):
         self.cartan = left.cartan
         self.left, self.right = left, right
         self.tables = _factor_tables(left) + _factor_tables(right)
-        n = len(right.wt)
-        self.wt = [tuple(map(add, u, v)) for u in left.wt for v in right.wt]
-        self.pr = [a * n + c for a in left.pr for c in right.pr]
+        n = len(right.e[0])
         self.e, self.f = [], []
         for i in self.cartan.nodes:
             _check_live(left, i)
@@ -376,9 +375,18 @@ class ProductTable:
                 for i in self.cartan.nodes]
 
     @cached_property
+    def wt(self) -> list[tuple[int, ...]]:
+        return [tuple(map(add, u, v)) for u in self.left.wt for v in self.right.wt]
+
+    @cached_property
+    def pr(self) -> list[int]:
+        n = len(self.right.e[0])
+        return [a * n + c for a in self.left.pr for c in self.right.pr]
+
+    @cached_property
     def pr_powers(self) -> list[list[int]]:
         """pr^k for k = 0, ..., n, from the factors' pr^k."""
-        n = len(self.right.wt)
+        n = len(self.right.e[0])
         return [[a * n + c for a in left for c in right]
                 for left, right in zip(self.left.pr_powers, self.right.pr_powers)]
 

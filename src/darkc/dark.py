@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
+from operator import mul
 
 from .cartan import CartanA, aff_level_zero
 from .charring import _Packing, fit_delta_shift, rhs_formula
@@ -221,18 +222,26 @@ def lhs_character(spec: DarkSpec, dark: DarkSet):
     """sum over the set of e^{lam_1 Lambda_0 + aff(wt(b)) - D(b) delta}, the
     energy-adjusted character without the unknown e^{C delta}, counted on the
     keys of a _Packing at the width of lam_1.  aff is linear: code
-    x = a*len(P) + c has the key kl[a] + kr[c] + shift[D]; kl and kr are lists
-    where the set has 2 elements per table row (faster reads outweigh unread
-    rows there), else filled as the set reaches rows.  No digit carries: a
-    Lambda coordinate is at most lam_1 + reach, the sum of the tables' largest
-    weight coordinates, a delta numerator reach * sum_j j(m-j) + 2m max|D|."""
+    x = a*len(P) + c has the key kl[a] + kr[c] + shift[D], and a row's key is
+    its weight's dot product with the keys of aff on the unit vectors.  kl
+    and kr are lists where the set has 2 elements per table row (faster reads
+    outweigh unread rows there), else filled as the set reaches rows; a row
+    of nonzero level raises.  No digit carries: a Lambda coordinate is at
+    most lam_1 + reach, the sum of the tables' largest weight coordinates, a
+    delta numerator reach * sum_j j(m-j) + 2m max|D|."""
     c, space, energies = spec.cartan, dark.product, dark.energies
     packing = _Packing(c, spec.lam[0])
     reach = sum(max(map(abs, chain.from_iterable(t.wt))) for t in space.tables)
     depth = max(map(abs, energies.values()), default=0)
     packing.cover(max(abs(spec.lam[0]) + reach, reach * sum(c.d_numerators) + 2 * c.m * depth))
+    basis = [(1 << packing.bits * j) + (d << packing.bits * c.m)
+             for j, d in enumerate(c.d_numerators)]
     def row_keys(table, rows):
-        fill = lambda x: packing.key(aff_level_zero(c, table.wt[x]))
+        def fill(x):
+            w = table.wt[x]
+            if sum(w):
+                aff_level_zero(c, w)  # raises: aff needs level 0
+            return sum(map(mul, w, basis))
         return list(map(fill, range(rows))) if 2 * rows <= len(energies) else Memo(fill)
     n, shift = space.width, Memo(lambda d: packing.signs + spec.lam[0] - d * packing.delta)
     kl, kr = row_keys(space.left, len(space.left.wt)), row_keys(space.right, n)

@@ -12,15 +12,16 @@ Affine type A crystal structure on tensor products of rectangles, 2002), so
 the table enumerates row contents and builds the classical arrays by the
 signature rule over rows; promotion is read off those arrays.  A tableau is
 its position in the table, and its rows are built from its contents only
-when they are read.  The walks on the reading word and the jeu-de-taquin
-slides build nothing; they stay as oracles for the classical and the
-promotion arrays.
+when they are read.  The same rule gives the string lengths, checked against
+the arrows.  The walks on the reading word and the jeu-de-taquin slides build
+nothing; they stay as oracles for the classical and the promotion arrays.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate, chain, repeat
+from operator import mul, sub
 
 from .cartan import CartanA
 from .crystal import ModelConsistencyError, TensorElt, signature_rule
@@ -228,25 +229,6 @@ def _demoted(rows, m: int):
     return tuple(tuple(m if v is None else v - 1 for v in row) for row in grid)
 
 
-def _string_lengths(step: list[int], i: int) -> list[int]:
-    """For each index, how often `step` applies before it gives -1, walking
-    each string once and iteratively."""
-    out = [-1] * len(step)
-    for k in range(len(step)):
-        path = []
-        j = k
-        while j >= 0 and out[j] < 0:
-            path.append(j)
-            if len(path) > len(step):
-                raise ModelConsistencyError(f"node {i} string does not terminate")
-            j = step[j]
-        length = -1 if j < 0 else out[j]
-        for p in reversed(path):
-            length += 1
-            out[p] = length
-    return out
-
-
 class _ByNode(dict):
     """Arrays keyed by node; a node out of range raises IndexError."""
 
@@ -264,8 +246,8 @@ class KRTable:
       element k, or -1, both from one signature rule over its rows;
     - pr, pr_inv: promotion and its inverse as permutations, from cl_e and
       cl_f alone (no slides);
-    - e[i][k], f[i][k]: cl_e / cl_f plus node 0 as pr_inv o (node 1) o pr;
-    - eps[i][k], phi[i][k]: the lengths of its i-string above and below it;
+    - e[i][k], f[i][k], eps[i][k], phi[i][k]: cl_e, cl_f and the lengths of
+      the i-string above and below k from the same rule, plus node 0 by pr;
     - stats[i][k]: the pair (eps[i][k], phi[i][k]);
     - wt[k]: its classical weight, the int tuple of its Lambda coefficients;
     - b_rs: the distinguished element b^{r,s}.
@@ -287,21 +269,21 @@ class KRTable:
 
     @cached_property
     def wt(self) -> list[tuple[int, ...]]:
+        """(c_m - c_1, c_1 - c_2, ..., c_{m-1} - c_m) for the letter counts c_v,
+        a letter at a time: c_v is a column of contents, summed over the rows."""
         m = self.cartan.m
-        out = []
-        for T in self.elements:
-            c = T.content()
-            out.append(tuple(c[i - 1] - c[i % m] for i in range(m)))
-        return out
+        columns = list(zip(*self.contents))
+        if self.shape[0] > 1:
+            columns = [list(map(sum, zip(*columns[v::m]))) for v in range(m)]
+        return list(zip(*(map(sub, columns[v - 1], columns[v]) for v in range(m))))
 
     @cached_property
     def b_rs(self) -> RectTableau:
         """The unique element with eps_0 = s and eps_i = 0 for classical i,
         located by exhaustive scan.  Non-uniqueness means broken 0-arrows."""
-        eps, s = self.eps, self.shape[1]
-        classical = [eps[i] for i in self.cartan.classical_nodes]
-        hits = [T for k, T in enumerate(self.elements)
-                if all(row[k] == 0 for row in classical) and eps[0][k] == s]
+        eps, want = self.eps, (self.shape[1],) + (0,) * self.cartan.n
+        hits = [T for T, col in zip(self.elements, zip(*map(eps.get, self.cartan.nodes)))
+                if col == want]
         if len(hits) != 1:
             raise ModelConsistencyError(
                 f"expected one distinguished element in {self.name}, found {len(hits)}")
@@ -352,11 +334,10 @@ class KRTable:
     def _heads(self, nodes, count) -> dict[int, int]:
         """The elements killed by e_i for every i in nodes, keyed by count of
         their row contents; two heads with one key are a ModelConsistencyError."""
-        e = self.cl_e
-        heads = {}
-        for b, cs in enumerate(self.contents):
-            if all(e[i][b] < 0 for i in nodes):
-                key = count(cs)
+        dead, heads = (-1,) * len(nodes), {}
+        for b, col in enumerate(zip(*map(self.cl_e.get, nodes), self.contents)):
+            if col[:-1] == dead:
+                key = count(col[-1])
                 if key in heads:
                     raise ModelConsistencyError(f"two promotion heads of {self.name} share {key}")
                 heads[key] = b
@@ -378,59 +359,60 @@ class KRTable:
         return powers
 
     @cached_property
-    def _classical(self) -> tuple[_ByNode, _ByNode]:
-        """cl_e and cl_f by one signature rule per element and node.  The
-        rows go in top row first (the reading word backwards), each as the
-        pair (#(i+1), #i) of its eps_i and phi_i.  e_i turns one i+1 of the
-        chosen row into i, f_i one i into i+1, and the moved content is
-        looked up in `index`."""
-        m = self.cartan.m
-        starts = range(0, self.shape[0] * m, m)
-        e, f = _ByNode(), _ByNode()
-        for i in self.cartan.classical_nodes:
-            e[i], f[i] = up_i, down_i = [], []
-            for cs in self.contents:
-                _, _, up, down = signature_rule([(cs[a + i], cs[a + i - 1]) for a in starts])
-                up_i.append(-1 if up is None else self._moved(cs, up * m + i - 1, 1))
-                down_i.append(-1 if down is None else self._moved(cs, down * m + i - 1, -1))
-        return e, f
-
-    def _moved(self, cs, j: int, d: int) -> int:
-        """The position of the contents cs after d counts move from index
-        j + 1 to index j; e_i (d = 1) and f_i (d = -1) of row a use j = a*m + i - 1."""
-        moved = list(cs)
-        moved[j] += d
-        moved[j + 1] -= d
-        k = self.index.get(tuple(moved))
-        if k is None:
-            raise ModelConsistencyError(f"a classical arrow left {self.name}")
-        return k
+    def _classical(self) -> tuple[_ByNode, _ByNode, _ByNode, _ByNode]:
+        """cl_e, cl_f, eps and phi of the classical nodes by one signature rule
+        per element and node.  The rows go in top row first (the reading word
+        backwards), each as the pair (#(i+1), #i) of its eps_i and phi_i.  e_i
+        turns one i+1 of the chosen row into i, f_i one i into i+1.  Contents
+        are read as the digits of an int key base s+1, so a move is one
+        addition to the key, looked up among the keys of `index`."""
+        m, size, (r, s) = self.cartan.m, len(self.contents), self.shape
+        powers = [(s + 1) ** t for t in range(r * m)]
+        keys = [sum(map(mul, cs, powers)) for cs in self.contents]
+        index = {keys[k]: k for k in self.index.values()}
+        e, f, eps, phi = arrays = _ByNode(), _ByNode(), _ByNode(), _ByNode()
+        try:
+            for i in self.cartan.classical_nodes:
+                cells = range(i - 1, r * m, m)  # the count of i in each row
+                moves = [powers[j] - powers[j + 1] for j in cells]
+                e[i], f[i] = up_i, down_i = [-1] * size, [-1] * size
+                eps[i], phi[i] = ep_i, ph_i = [0] * size, [0] * size
+                for k, cs in enumerate(self.contents):
+                    ep_i[k], ph_i[k], up, down = signature_rule([(cs[j + 1], cs[j])
+                                                                 for j in cells])
+                    if up is not None:
+                        up_i[k] = index[keys[k] + moves[up]]
+                    if down is not None:
+                        down_i[k] = index[keys[k] - moves[down]]
+        except KeyError:
+            raise ModelConsistencyError(f"a classical arrow left {self.name}") from None
+        return arrays
 
     cl_e = property(lambda self: self._classical[0])
     cl_f = property(lambda self: self._classical[1])
 
-    def _affine(self, classical: _ByNode) -> _ByNode:
-        """The classical arrays plus node 0 as pr_inv o (node 1) o pr."""
-        one, pr_inv = classical[1], self.pr_inv
-        arrays = _ByNode(classical)
-        arrays[0] = [-1 if one[j] < 0 else pr_inv[one[j]] for j in self.pr]
+    @cached_property
+    def _affine(self) -> tuple[_ByNode, _ByNode, _ByNode, _ByNode]:
+        """e, f, eps and phi: the classical arrays plus node 0 through
+        promotion, e_0 = pr_inv o e_1 o pr and eps_0 = eps_1 o pr.  Every node
+        is checked against its arrows in one pass: a step is -1 exactly where
+        the string length is 0, and otherwise lands where it is one less."""
+        pr, pr_inv = self.pr, self.pr_inv
+        arrays = tuple(map(_ByNode, self._classical))
+        for steps, lengths in zip(arrays[:2], arrays[2:]):
+            one, length = steps[1], lengths[1]
+            steps[0] = [-1 if one[j] < 0 else pr_inv[one[j]] for j in pr]
+            lengths[0] = list(map(length.__getitem__, pr))
+            for i, row in lengths.items():
+                if [-1 if j < 0 else row[j] for j in steps[i]] != [v - 1 for v in row]:
+                    raise ModelConsistencyError(
+                        f"node {i} string lengths of {self.name} do not match its arrows")
         return arrays
 
-    @cached_property
-    def e(self) -> _ByNode:
-        return self._affine(self.cl_e)
-
-    @cached_property
-    def f(self) -> _ByNode:
-        return self._affine(self.cl_f)
-
-    @cached_property
-    def eps(self) -> _ByNode:
-        return _ByNode((i, _string_lengths(self.e[i], i)) for i in self.cartan.nodes)
-
-    @cached_property
-    def phi(self) -> _ByNode:
-        return _ByNode((i, _string_lengths(self.f[i], i)) for i in self.cartan.nodes)
+    e = property(lambda self: self._affine[0])
+    f = property(lambda self: self._affine[1])
+    eps = property(lambda self: self._affine[2])
+    phi = property(lambda self: self._affine[3])
 
     @cached_property
     def stats(self) -> _ByNode:

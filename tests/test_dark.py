@@ -294,13 +294,15 @@ LHS_SPECS = {
     "grid": grid_specs,
     "ladder": lambda: [workloads.maximal_spec(*case) for case in workloads.LADDER[:2]],
     "sweep": lambda: workloads.sweep_specs(1)[:20],
+    "long-rows": lambda: [workloads.maximal_spec(n, (s,), (1,)) for n, s in ((1, 300), (3, 30))],
 }
 
 
 @pytest.mark.parametrize("group", sorted(LHS_SPECS))
 def test_packed_weight_count_matches_the_tuple_fold(group):
     specs = LHS_SPECS[group]()
-    assert any(spec.p > 1 for spec in specs)
+    # every group but the single long rows folds several factors
+    assert any(spec.p > 1 for spec in specs) == (group != "long-rows")
     for spec in specs:
         dark = build(spec)
         assert lhs_character(spec, dark) == folded_lhs(spec, dark), spec
@@ -320,6 +322,24 @@ def test_packed_weight_digits_follow_the_table_weights(fresh_tables, monkeypatch
     assert max(mu[0] for mu in folded_lhs(spec, dark).terms) > 127
     monkeypatch.setattr(charring, "DIGIT_BITS", 8)
     with pytest.raises(OverflowError, match="8-bit digit"):
+        lhs_character(spec, dark)
+
+
+@pytest.mark.parametrize("spec, rows", [
+    (make_spec(1, (1, 1), words=[(1,), (1,)]), list),  # 4 elements, 2 rows
+    (make_spec(4, (3, 3, 3), r=(2, 2, 2)), Memo),  # one element, 175 rows
+])
+def test_a_table_weight_of_nonzero_level_raises(fresh_tables, monkeypatch, spec, rows):
+    # the row keys are dot products, linear in any weight; a weight of
+    # nonzero level has no aff and must raise on either form of the rows
+    dark = build(spec)
+    table = dark.product.left
+    assert (2 * len(table.wt) <= len(dark)) == (rows is list)
+    pos = dark.product.factors(next(iter(dark.energies)))[0]
+    table.wt = table.wt[:pos] + [(1,) + table.wt[pos][1:]] + table.wt[pos + 1:]
+    level = sum(table.wt[pos])
+    with pytest.raises(ValueError, match=f"^aff is only defined on level-zero weights, "
+                                         f"level = {level}$"):
         lhs_character(spec, dark)
 
 

@@ -340,9 +340,11 @@ def test_content_is_a_count_of_the_entries():
                 assert T.content() == tuple(cells.count(v) for v in range(1, c.m + 1))
 
 
-@pytest.mark.parametrize("n, r, s", [(1, 1, 300), (2, 1, 40)]
-                         + [(3, r, s) for r in (1, 2, 3) for s in range(7)]
-                         + [(4, 2, 4)])
+BEYOND_GRID = ([(1, 1, 300), (2, 1, 40)] + [(3, r, s) for r in (1, 2, 3) for s in range(7)]
+               + [(4, 2, 4)])
+
+
+@pytest.mark.parametrize("n, r, s", BEYOND_GRID)
 def test_classical_arrays_match_walks_beyond_the_grid(n, r, s):
     c = CartanA(n)
     elements = generate(c, r, s)
@@ -359,6 +361,48 @@ def test_classical_arrays_match_walks_beyond_the_grid(n, r, s):
         with pytest.raises(ModelConsistencyError,
                            match=rf"a classical arrow left B\^\{{{r},{s}\}}"):
             fresh.cl_f
+
+
+def _string_lengths(step: list[int]) -> list[int]:
+    """For each index, how often `step` applies before it gives -1, walking
+    each string once and iteratively: the oracle for eps and phi."""
+    out = [-1] * len(step)
+    for k in range(len(step)):
+        path = []
+        j = k
+        while j >= 0 and out[j] < 0:
+            path.append(j)
+            assert len(path) <= len(step), "string does not terminate"
+            j = step[j]
+        length = -1 if j < 0 else out[j]
+        for p in reversed(path):
+            length += 1
+            out[p] = length
+    return out
+
+
+@pytest.mark.parametrize("n, r, s", BEYOND_GRID + [(1, 1, 1200)])
+def test_string_lengths_of_the_rule_match_walks_of_the_arrows(n, r, s):
+    # eps and phi come from the signature rule over the rows, node 0 through
+    # promotion; walking every string of the e and f arrays checks them
+    table = generate(CartanA(n), r, s)[0].table
+    for i in table.cartan.nodes:
+        assert table.eps[i] == _string_lengths(table.e[i]), i
+        assert table.phi[i] == _string_lengths(table.f[i]), i
+
+
+@pytest.mark.parametrize("arrays, lengths", [("cl_e", "eps"), ("cl_f", "phi")])
+def test_one_broken_arrow_fails_the_string_length_check(arrays, lengths):
+    # an arrow of a fresh table that skips to another element of its string
+    # (or leaves it) no longer lands where the rule's count is one less
+    fresh = kr.KRTable(CartanA(3), 2, 2)
+    fresh.pr  # from the intact arrows
+    step = getattr(fresh, arrays)[2]
+    k = next(k for k, j in enumerate(step) if j >= 0)
+    step[k] = step[step[k]] if step[step[k]] >= 0 else -1
+    with pytest.raises(ModelConsistencyError,
+                       match=r"^node 2 string lengths of B\^\{2,2\} do not match its arrows$"):
+        getattr(fresh, lengths)
 
 
 def test_find_b_rs_on_a_long_row_needs_no_deep_stack():

@@ -127,3 +127,21 @@ def test_product_stats_are_built_only_where_read(monkeypatch):
     # criterion 1 reads the stats of every product, each built once
     assert criterion_axioms() == "370 crystals, 69563 elements"
     assert len(built) == len(set(map(id, built))) == 370 - 15
+
+
+def test_energy_criterion_builds_no_product_weight_or_promotion(monkeypatch):
+    # criterion 8's 152 pair tables are read through e, f and their factors'
+    # elements; wt and pr are built on first read, so it builds none
+    built = Counter()
+    for name in ("wt", "pr"):
+        def counting(self, _build=getattr(ProductTable, name).func, _name=name):
+            built[_name] += 1
+            return _build(self)
+        array = cached_property(counting)
+        array.__set_name__(ProductTable, name)
+        monkeypatch.setattr(ProductTable, name, array)
+    criterion_energy()
+    assert built == Counter()
+    # the tensor twists read both, once for each of the 355 products
+    _tensor_twists()
+    assert built == Counter(wt=355, pr=355)
