@@ -1,20 +1,17 @@
 """Crystal elements, tensor products, and Demazure-style subset closures.
 
-A tensor product of KR crystals is held three ways, one for each job:
+A tensor product of KR crystals is held two ways, one for each job:
 
 - `TensorElt` objects serve the boundary (parsing, printing, export labels)
   and the oracles;
-- `Codes`, where an element is one int, its position in canonical order, and
-  B_1 (x) ... (x) B_p is the two-factor product B_1 (x) P of the first table
-  and the rest, serve sparse closures (`dark.build`), the energy tables and
-  the exports; a large P is read row by row as the set reaches it, so a
-  sparse set does not pay for the whole product;
-- `ProductTable`, two tables' product enumerated once with KRTable's arrays by
-  the two-factor signature rule written out, serves whole-product checks
-  (selftest criteria 1, 2 and 8), the energy oracle and a small P in `Codes`.
-
-The rule is associative (Kashiwara; Bump-Schilling, Crystal Bases, ch. 2), so
-both give an element the same position: x = a*len(P) + c for left[a] (x) P[c].
+- `ProductTable`, the two-factor product B_1 (x) P of the first table and
+  the product of the rest, where an element is one int, its position (its
+  code) x = a*len(P) + c in canonical order for B_1[a] (x) P[c].  It gives
+  Kashiwara's rule for two factors both per position, for sparse closures
+  (`dark.build`), the energy tables and the exports, and as arrays over all
+  positions, for whole-product checks (selftest criteria 1, 2 and 8) and the
+  energy oracle.  A large P is read row by row as a set reaches it, so a
+  sparse set does not pay for the whole product.
 
 The distinguished zero of a crystal is represented by None: crystal operators
 return None when they annihilate an element, and never raise.
@@ -58,7 +55,7 @@ def signature_rule(pairs) -> tuple[int, int, int | None, int | None]:
     factor of the rightmost uncancelled '-', the factor of the leftmost
     uncancelled '+'); a factor is None when no such sign is left.  TensorElt
     passes its factors' stats(i), `kr.KRTable` the rows of a tableau;
-    `Codes` and `ProductTable` write out the case of two factors."""
+    `ProductTable` writes out the case of two factors."""
     ep = ph = k = 0
     up = down = None
     for eb, pb in pairs:
@@ -154,19 +151,11 @@ class TensorElt:
         return "|".join(b.text() for b in self.factors)
 
 
-def _positions(tables, x: int) -> tuple[int, ...]:
-    """The positions in tables of the factors of the product position x."""
-    out = []
-    for t in reversed(tables[1:]):
-        x, k = divmod(x, len(t.elements))
-        out.append(k)
-    out.append(x)
-    return tuple(reversed(out))
-
-
 class _Unit:
     """The one-element crystal, the empty tensor product: the right factor of
-    a single table in `Codes`, with weight 0 and no arrows."""
+    a single table in `ProductTable.of`, with weight 0 and no arrows."""
+
+    tables = ()
 
     def __init__(self, c):
         self.wt = [(0,) * c.m]
@@ -187,7 +176,7 @@ class Memo(dict):
 
 
 def _arrow(step):
-    """A Codes step as an array fill: -1 where it returns None."""
+    """A ProductTable step as an array fill: -1 where it returns None."""
     def fill(x):
         y = step(x)
         return -1 if y is None else y
@@ -195,60 +184,65 @@ def _arrow(step):
 
 
 class _Rows:
-    """A Codes read as a table: stats[i][x], e[i][x] and f[i][x] (-1 for 0),
-    wt[x] and pr_powers[k][x], each worked out by the Codes at the first read
-    of x and kept.  This is P inside `Codes` for three tables or more, so a
-    set pays for the rows of P that it reads, never for all of P."""
+    """A ProductTable read as a table through its steps: stats[i][x], e[i][x]
+    and f[i][x] (-1 for 0), wt[x] and pr_powers[k][x], each worked out at the
+    first read of x and kept.  This is P in `ProductTable.of` for a large
+    product of three tables or more, so a set pays for the rows of P that it
+    reads, never for all of P."""
 
     def __init__(self, space):
         left, right, n = space.left, space.right, space.width
         nodes = left.cartan.nodes
+        self.tables = space.tables
         self.stats = [Memo(space.eps_phi(i)) for i in nodes]
-        self.e = [Memo(_arrow(space.e(i))) for i in nodes]
-        self.f = [Memo(_arrow(space.f(i))) for i in nodes]
+        self.e = [Memo(_arrow(space.raising(i))) for i in nodes]
+        self.f = [Memo(_arrow(space.lowering(i))) for i in nodes]
         self.wt = Memo(lambda x: tuple(map(add, left.wt[x // n], right.wt[x % n])))
         self.pr_powers = [Memo(lambda x, u=u, v=v: u[x // n] * n + v[x % n])
                           for u, v in zip(left.pr_powers, right.pr_powers)]
 
 
-# Codes enumerates a P of at most this many rows as a ProductTable, about
-# 0.05 s at the limit.  A larger P is read row by row unless the caller
-# expects a dense set: a row read costs each lookup about 60 ns more, but a
-# sparse set then pays only for the rows it reaches.
+# ProductTable.of enumerates a P of at most this many rows, about 0.05 s at
+# the limit.  A larger P is read row by row unless the caller expects a dense
+# set: a row read costs each lookup about 60 ns more, but a sparse set then
+# pays only for the rows it reaches.
 EAGER_ROWS = 10_000
 
 
-class Codes:
-    """The tensor product left (x) P of the KR crystals of some tables, left
-    the first and P the product of the others, with an element coded as one
-    int: its position x = a*len(P) + c in canonical order, the position that
-    ProductTable gives it, so codes sort as their elements do.  P is the
-    one-element _Unit for one table, the KR table for two, and otherwise a
-    ProductTable of the others when it has at most `eager_rows` rows, else
-    the rows of `inner`, the Codes of the others (built here when not given),
-    filled as they are read.  e_i and f_i are Kashiwara's rule for two
-    factors on (e1, p1) = left.stats[i][a] and (e2, p2) = P.stats[i][c], as
-    ProductTable writes it out, then one read of the chosen factor's e[i] or
-    f[i]; a chosen factor that its array kills is a ModelConsistencyError.
-    The tests tie codes to TensorElt and to ProductTable at every position."""
+class ProductTable:
+    """left (x) right for a KRTable left and an enumerated crystal right (a
+    KRTable, a ProductTable, or the `_Unit` or `_Rows` of `of`), with `tables`
+    its KR factors.  For every node i, Kashiwara's rule on (e1, p1) =
+    left.stats[i][a] and (e2, p2) = right.stats[i][c] is written in two
+    shapes: per position by the steps raising(i), lowering(i) and eps_phi(i),
+    and per row as KRTable's arrays stats[i][x], e[i][x] and f[i][x] (-1 for
+    0), with wt[x] the sum of the factors' weights and pr[x], pr_powers[k][x]
+    the products of their promotions.  The arrays need a filled right factor
+    and are built on first read, e and f together, so construction does no
+    work.  A chosen factor that its array kills is a ModelConsistencyError."""
 
-    def __init__(self, tables, inner=None, eager_rows=EAGER_ROWS):
-        self.tables = tuple(tables)
-        self.left = self.tables[0]
-        self.width = prod(len(t.elements) for t in self.tables[1:])  # len(P)
-        self.inner, self.eager_rows = inner, eager_rows
+    def __init__(self, left, right):
+        self.cartan = left.cartan
+        self.left, self.right = left, right
+        self.tables = (left,) + getattr(right, "tables", (right,))
+        self.width = prod(len(t.elements) for t in self.tables[1:])  # len(right)
 
-    @cached_property
-    def right(self):
-        tables = self.tables
-        if len(tables) <= 2:
-            return tables[1] if len(tables) == 2 else _Unit(self.left.cartan)
-        if self.width > self.eager_rows:
-            return _Rows(self.inner or Codes(tables[1:]))
-        right = tables[-1]
-        for t in reversed(tables[1:-1]):
-            right = ProductTable(t, right)
-        return right
+    @classmethod
+    def of(cls, tables, inner=None, eager_rows=EAGER_ROWS):
+        """The product of KR tables, the first (x) P with P the product of the
+        rest: the one-element _Unit for one table, the KR table for two, and
+        otherwise ProductTables of the rest when P has at most `eager_rows`
+        rows, else the rows of `inner`, the product of the rest (built here
+        when not given), filled as they are read."""
+        left, *rest = tables
+        if len(rest) <= 1:
+            return cls(left, rest[0] if rest else _Unit(left.cartan))
+        if prod(len(t.elements) for t in rest) > eager_rows:
+            return cls(left, _Rows(inner or cls.of(rest)))
+        right = rest[-1]
+        for t in reversed(rest[:-1]):
+            right = cls(t, right)
+        return cls(left, right)
 
     def __len__(self):
         return len(self.left.elements) * self.width
@@ -257,8 +251,8 @@ class Codes:
         """Every code, in canonical order."""
         return iter(range(len(self)))
 
-    def f(self, i: int):
-        """x -> f_i x, or None: the left factor moves if p1 > e2, else P if p2 > 0."""
+    def lowering(self, i: int):
+        """x -> f_i x, or None: the left factor moves if p1 > e2, else right if p2 > 0."""
         s1, d1 = self.left.stats[i], self.left.f[i]
         s2, d2, n = self.right.stats[i], self.right.f[i], self.width
 
@@ -278,8 +272,8 @@ class Codes:
             return None
         return step
 
-    def e(self, i: int):
-        """x -> e_i x, or None: P moves if e2 > p1, else the left factor if e1 > 0."""
+    def raising(self, i: int):
+        """x -> e_i x, or None: right moves if e2 > p1, else the left factor if e1 > 0."""
         s1, u1 = self.left.stats[i], self.left.e[i]
         s2, u2, n = self.right.stats[i], self.right.e[i], self.width
 
@@ -308,51 +302,20 @@ class Codes:
             return (e1 + e2 - p1, p2) if e2 > p1 else (e1, p1 + p2 - e2)
         return stats
 
-    def node(self, i: int):
-        """x -> (eps_i, phi_i, e_i x, f_i x), the rows of `eps_phi`, `e` and `f`."""
-        stats, up, down = self.eps_phi(i), self.e(i), self.f(i)
-        return lambda x: stats(x) + (up(x), down(x))
+    @cached_property
+    def e(self) -> list[list[int]]:
+        return self._arrows()[0]
 
-    def factors(self, x: int) -> tuple[int, ...]:
-        """The positions of the factors of x in their tables."""
-        return _positions(self.tables, x)
+    @cached_property
+    def f(self) -> list[list[int]]:
+        return self._arrows()[1]
 
-    def element(self, x: int) -> TensorElt:
-        return TensorElt(t.elements[k] for t, k in zip(self.tables, self.factors(x)))
-
-    def code(self, b: TensorElt) -> int:
-        if any(a.table is not t for a, t in zip(b.factors, self.tables, strict=True)):
-            raise ValueError(f"{b.text()} is not in {' (x) '.join(t.name for t in self.tables)}")
-        x = 0
-        for a, t in zip(b.factors, self.tables):
-            x = x * len(t.elements) + a.pos
-        return x
-
-
-def _factor_tables(table) -> tuple:
-    return table.tables if isinstance(table, ProductTable) else (table,)
-
-
-class ProductTable:
-    """The tensor product left (x) right of two enumerated crystals, each a
-    KRTable or a ProductTable, enumerated as a crystal with KRTable's arrays:
-    position x = a*len(right) + c is left[a] (x) right[c], so positions follow
-    the canonical order.  For every node i, stats[i][x], e[i][x] and f[i][x]
-    (-1 for 0) are the signature rule on (e1, p1) = left.stats[i][a] and (e2,
-    p2) = right.stats[i][c] written out: (e1 + e2 - p1, p2) if e2 > p1, else
-    (e1, p1 + p2 - e2); e moves the right factor if e2 > p1, else the left if
-    e1 > 0; f the left if p1 > e2, else the right if p2 > 0.  wt[x] sums the
-    factors' weights, pr[x] and pr_powers[k][x] are the products of their
-    promotions; these and stats are built on first read.  The rule is
-    associative, so a triple is ProductTable(B1, ProductTable(B2, B3)).
-    `tables` are the KR factors."""
-
-    def __init__(self, left, right):
-        self.cartan = left.cartan
-        self.left, self.right = left, right
-        self.tables = _factor_tables(left) + _factor_tables(right)
-        n = len(right.e[0])
-        self.e, self.f = [], []
+    def _arrows(self) -> tuple[list, list]:
+        """e and f in one pass over the left rows, node by node, once both
+        factors' arrows are checked live.  Both are kept only when both are
+        built, so a dead factor raises at every read."""
+        left, right, n = self.left, self.right, self.width
+        es, fs = [], []
         for i in self.cartan.nodes:
             _check_live(left, i)
             _check_live(right, i)
@@ -364,8 +327,10 @@ class ProductTable:
                        for c, (e2, _), uc, _ in cols]
                 down += [da + c if p1 > e2 else x0 + dc if p2 else -1
                          for c, (e2, p2), _, dc in cols]
-            self.e.append(up)
-            self.f.append(down)
+            es.append(up)
+            fs.append(down)
+        self.__dict__.update(e=es, f=fs)
+        return es, fs
 
     @cached_property
     def stats(self) -> list[list[tuple[int, int]]]:
@@ -380,19 +345,37 @@ class ProductTable:
 
     @cached_property
     def pr(self) -> list[int]:
-        n = len(self.right.e[0])
+        n = self.width
         return [a * n + c for a in self.left.pr for c in self.right.pr]
 
     @cached_property
     def pr_powers(self) -> list[list[int]]:
         """pr^k for k = 0, ..., n, from the factors' pr^k."""
-        n = len(self.right.e[0])
+        n = self.width
         return [[a * n + c for a in left for c in right]
                 for left, right in zip(self.left.pr_powers, self.right.pr_powers)]
 
+    def factors(self, x: int) -> tuple[int, ...]:
+        """The positions of the factors of x in their tables."""
+        out = []
+        for t in reversed(self.tables[1:]):
+            x, k = divmod(x, len(t.elements))
+            out.append(k)
+        out.append(x)
+        return tuple(reversed(out))
+
     def element(self, x: int) -> TensorElt:
         """Position x as the flat tensor of its KR factors."""
-        return TensorElt(t.elements[k] for t, k in zip(self.tables, _positions(self.tables, x)))
+        return TensorElt(t.elements[k] for t, k in zip(self.tables, self.factors(x)))
+
+    def code(self, b: TensorElt) -> int:
+        """The position of a flat tensor of elements of `tables`."""
+        if any(a.table is not t for a, t in zip(b.factors, self.tables, strict=True)):
+            raise ValueError(f"{b.text()} is not in {' (x) '.join(t.name for t in self.tables)}")
+        x = 0
+        for a, t in zip(b.factors, self.tables):
+            x = x * len(t.elements) + a.pos
+        return x
 
 
 def _check_live(table, i: int) -> None:
@@ -444,14 +427,14 @@ def classical_highest_path(x) -> tuple:
             return cur, tuple(word)
 
 
-def crystal_edges(space: Codes, codes):
+def crystal_edges(space: ProductTable, codes):
     """Edges (src, dst, i) of the crystal graph of space restricted to a set
     of its codes, with nodes in canonical order.  Returns (sorted codes, edges)."""
     nodes = sorted(codes)
     index = {x: k for k, x in enumerate(nodes)}
     edges = []
-    for i in space.tables[0].cartan.nodes:
-        f = space.f(i)
+    for i in space.cartan.nodes:
+        f = space.lowering(i)
         for k, x in enumerate(nodes):
             dst = index.get(f(x))
             if dst is not None:
@@ -460,19 +443,19 @@ def crystal_edges(space: Codes, codes):
     return nodes, edges
 
 
-def factor_texts(space: Codes, codes) -> list[list[str]]:
+def factor_texts(space: ProductTable, codes) -> list[list[str]]:
     """The texts of the factors of each code, each table position's text made
     once per call."""
     texts = [[b.text() for b in t.elements] for t in space.tables]
     return [list(map(getitem, texts, space.factors(x))) for x in codes]
 
 
-def labels(space: Codes, codes) -> list[str]:
+def labels(space: ProductTable, codes) -> list[str]:
     """The element's text for each code, its factors' texts joined."""
     return ["|".join(parts) for parts in factor_texts(space, codes)]
 
 
-def graph_dot(space: Codes, codes) -> str:
+def graph_dot(space: ProductTable, codes) -> str:
     """The crystal graph of a set of codes of space in DOT, labelled by the
     elements' text."""
     nodes, edges = crystal_edges(space, codes)
@@ -483,7 +466,7 @@ def graph_dot(space: Codes, codes) -> str:
     return "\n".join(lines) + "\n"
 
 
-def graph_json(space: Codes, codes) -> dict:
+def graph_json(space: ProductTable, codes) -> dict:
     nodes, edges = crystal_edges(space, codes)
     return {
         "nodes": labels(space, nodes),

@@ -9,7 +9,7 @@ operator formula up to one global shift e^{C delta}.  Both sides are packed
 as charring._Packing keys at the digit width of lam_1, the lhs only once a
 bound shows that no digit can carry, and verify fits C on the keys.
 
-`build` works on integer codes (`crystal.Codes`): an element of
+`build` works on integer codes (`crystal.ProductTable.of`): an element of
 B_j (x) ... (x) B_p is one int, its position a*len(P) + c in canonical order,
 where P = B_{j+1} (x) ... (x) B_p, the space of the level before, is a
 table: enumerated when it is small or the level before filled much of it,
@@ -37,7 +37,7 @@ from operator import mul
 
 from .cartan import CartanA, aff_level_zero
 from .charring import _Packing, fit_delta_shift, rhs_formula
-from .crystal import EAGER_ROWS, Codes, Memo, TensorElt, factor_texts
+from .crystal import EAGER_ROWS, Memo, ProductTable, TensorElt, factor_texts
 from .energy import total_D
 from .kr import find_b_rs, generate
 from .weyl import (_word_window, all_reduced_words, bruhat_lower_interval,
@@ -133,7 +133,7 @@ class DarkSet:
     order."""
 
     spec: DarkSpec
-    product: Codes
+    product: ProductTable
     energies: dict
 
     def __len__(self):
@@ -147,14 +147,14 @@ class DarkSet:
         return [self.product.element(x) for x in sorted(self.energies)]
 
 
-def _close(space: Codes, letters, seeds, walk) -> dict:
+def _close(space: ProductTable, letters, seeds, walk) -> dict:
     """F_{i_1}(... F_{i_k}(S)) on codes, innermost letter last, as a {code: D}
     map with D = walk(seed) at each seed.  D is constant on classical
     components, so a step along a classical f_i copies D from its source; an
     element first reached by f_0 gets walk(it)."""
     energies = {y: walk(y) for y in seeds}
     for i in reversed(letters):
-        f = space.f(i)
+        f = space.lowering(i)
         frontier = list(energies)
         while frontier:
             nxt = []
@@ -189,7 +189,7 @@ def _build(spec: DarkSpec, grade) -> DarkSet:
     energies = {0: None}  # the one element of the empty tensor product
     space = None
     for j in range(spec.p - 1, -1, -1):
-        space = Codes(tables[j:], space, max(EAGER_ROWS, 4 * len(energies)))
+        space = ProductTable.of(tables[j:], space, max(EAGER_ROWS, 4 * len(energies)))
         walk = (lambda x: grade(space, x)) if j == 0 and grade is not None else (lambda x: None)
         x0, twist = dist[j].pos * space.width, space.right.pr_powers[spec.r[j] % c.m]  # tau_r = r
         energies = _close(space, spec.words[j].letters, [x0 + twist[x] for x in energies], walk)
@@ -328,7 +328,7 @@ def dark_from_json(obj: dict) -> DarkSet:
     spec = make_spec(obj["n"], obj["lambda"], obj["r"],
                      [(tuple(w["prefix"]), tuple(w["word"])) for w in obj["words"]])
     c = spec.cartan
-    product = Codes(find_b_rs(c, rj, sj).table for rj, sj in zip(spec.r, spec.lam))
+    product = ProductTable.of(find_b_rs(c, rj, sj).table for rj, sj in zip(spec.r, spec.lam))
     energies = {}
     for texts in obj["elements"]:
         if len(texts) != spec.p:

@@ -13,11 +13,12 @@ classical component (Shimozono 2002):
   max(r, r')) for rectangles with r and r' rows.  So H = 0 on the pair of
   classical highest elements.
 
-Pairs are raised and lowered on the int codes of `crystal.Codes`, the ones
-`dark.build` runs on, and `total_D` takes such a code.  `comb_R` and `local_H`
-convert tensor elements at the boundary.  The independent oracle
-`selftest.EnergyOracle` fills whole tables by breadth-first propagation of H
-over the arrays of `crystal.ProductTable`, sharing no tensor-rule code here.
+Pairs are raised and lowered on int codes by the steps of
+`crystal.ProductTable`, as `dark.build` closes its sets, and `total_D` takes
+such a code.  `comb_R` and `local_H` convert tensor elements at the boundary.
+The independent oracle `selftest.EnergyOracle` fills whole tables by
+breadth-first propagation of H over the arrays of `crystal.ProductTable`,
+the rule in its row shape, sharing no tensor-rule code with these steps.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from operator import add
 
 from .cartan import CartanA
-from .crystal import Codes, ModelConsistencyError, TensorElt
+from .crystal import ModelConsistencyError, ProductTable, TensorElt
 from .kr import generate
 
 _TABLES: dict = {}
@@ -45,8 +46,8 @@ class EnergyTable:
         self.shape_right = shape_right
         left = generate(c, *shape_left)[0].table
         right = generate(c, *shape_right)[0].table
-        self.pair = Codes((left, right))
-        self.swapped = Codes((right, left))
+        self.pair = ProductTable(left, right)
+        self.swapped = ProductTable(right, left)
         highest = self._hw_by_weight(self.pair)
         swapped = self._hw_by_weight(self.swapped)
         if set(highest) != set(swapped):
@@ -55,13 +56,13 @@ class EnergyTable:
         self.R = {(0, u): (0, swapped[w]) for w, u in highest.items()}
         self.H = {(0, u): -sum(_content(self.pair, u)[rows:]) for u in highest.values()}
 
-    def _hw_by_weight(self, space: Codes) -> dict:
+    def _hw_by_weight(self, space: ProductTable) -> dict:
         """Classical highest elements of a pair by weight, as codes.  Their
         left factor is the highest element of its table, position 0 (contents
         sort with more 1s first, so its row a holds only a+1): its '-' signs
         come first, so nothing can cancel them, and only the codes b of the
         pairs (0, b) are scanned."""
-        ups = [space.e(i) for i in self.cartan.classical_nodes]
+        ups = [space.raising(i) for i in self.cartan.classical_nodes]
         top = space.left.wt[0]
         out = {}
         for b, v in enumerate(space.right.wt):
@@ -83,7 +84,7 @@ class EnergyTable:
         if key not in self.H:
             n = self.pair.width
             x, steps = a * n + b, []
-            ups = [(i, self.pair.e(i)) for i in self.cartan.classical_nodes]
+            ups = [(i, self.pair.raising(i)) for i in self.cartan.classical_nodes]
             while (pair := divmod(x, n)) not in self.H:
                 for i, up in ups:
                     y = up(x)
@@ -97,7 +98,7 @@ class EnergyTable:
             n = self.swapped.width
             img = ra * n + rb
             for pair, i in reversed(steps):
-                img = self.swapped.f(i)(img)
+                img = self.swapped.lowering(i)(img)
                 if img is None:
                     raise ModelConsistencyError("R transport left the crystal")
                 self.R[pair] = divmod(img, n)
@@ -105,7 +106,7 @@ class EnergyTable:
         return self.R[key], self.H[key]
 
 
-def _content(space: Codes, x: int) -> list[int]:
+def _content(space: ProductTable, x: int) -> list[int]:
     """How often each letter occurs in the element of code x; a partition
     when x is classical highest."""
     return [sum(col) for col in zip(*(t.elements[k].content()
@@ -137,7 +138,7 @@ def local_H(x: TensorElt) -> int:
     return _pair_entry(x)[1][1]
 
 
-def pair_energies(space: Codes, x: int) -> list[tuple[int, int, int]]:
+def pair_energies(space: ProductTable, x: int) -> list[tuple[int, int, int]]:
     """(i, j, H) for each pair of factor positions i < j of the code x over
     space, counted from 0: H(b_i, b_j pulled next to b_i), moving factor j
     left with successive R applications."""
@@ -154,7 +155,7 @@ def pair_energies(space: Codes, x: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def total_D(space: Codes, x: int) -> int:
+def total_D(space: ProductTable, x: int) -> int:
     """Total energy of the code x over space: the sum of pair_energies.
     Rectangle crystals are classically irreducible, so there are no
     single-factor terms."""

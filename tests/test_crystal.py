@@ -4,7 +4,7 @@ from operator import add, getitem, sub
 import pytest
 
 from darkc.cartan import CartanA, cl_simple_root
-from darkc.crystal import (EAGER_ROWS, Codes, ModelConsistencyError, ProductTable, TensorElt,
+from darkc.crystal import (EAGER_ROWS, ModelConsistencyError, ProductTable, TensorElt,
                            classical_highest_path, demazure_closure, eps, f_closure,
                            graph_dot, graph_json, phi)
 from darkc.kr import KRTable, generate, parse_tableau
@@ -120,15 +120,21 @@ def test_string_lengths():
                 assert (up[x], down[x]) == (eps(x, i), phi(x, i)), (x, i)
 
 
-def _codes(space, eager_rows=EAGER_ROWS) -> Codes:
-    """The Codes over the KR factors of a criterion-1 family."""
-    return Codes(space.tables if isinstance(space, ProductTable) else (space,),
-                 eager_rows=eager_rows)
+def _codes(space, eager_rows=EAGER_ROWS) -> ProductTable:
+    """The product of the KR factors of a criterion-1 family, as build makes it."""
+    return ProductTable.of(space.tables if isinstance(space, ProductTable) else (space,),
+                           eager_rows=eager_rows)
 
 
-def _fold_weight(space: Codes, x) -> tuple[int, ...]:
+def _node(space: ProductTable, i: int):
+    """x -> (eps_i, phi_i, e_i x, f_i x) by the steps of space."""
+    stats, up, down = space.eps_phi(i), space.raising(i), space.lowering(i)
+    return lambda x: stats(x) + (up(x), down(x))
+
+
+def _fold_weight(space: ProductTable, x) -> tuple[int, ...]:
     """The weight of code x as one tuple add per factor over the KR tables'
-    wt, apart from the two-level split that Codes and lhs_character use."""
+    wt, apart from the two-level split that ProductTable and lhs_character use."""
     wts = map(getitem, (t.wt for t in space.tables), space.factors(x))
     w = next(wts)
     for v in wts:
@@ -137,7 +143,7 @@ def _fold_weight(space: Codes, x) -> tuple[int, ...]:
 
 
 def test_codes_match_tensor_elements():
-    # build and the energy tables run on Codes; here the code operators meet
+    # build and the energy tables run on the steps; here they meet
     # TensorElt on every criterion-1 family at n <= 2, and so does the weight
     # as lhs_character splits it, left factor plus the table of the rest
     checked = 0
@@ -145,7 +151,7 @@ def test_codes_match_tensor_elements():
         if c.n > 2:
             continue
         space = _codes(space)
-        rows = [space.node(i) for i in c.nodes]
+        rows = [_node(space, i) for i in c.nodes]
         right = space.right.wt
         for x in space:
             b = space.element(x)
@@ -167,11 +173,11 @@ def _encode(tables, positions) -> int:
 
 
 def test_product_tables_match_codes():
-    # criteria 1, 2 and 8 read table arrays, build runs on Codes: the two meet
-    # at the same int position of all 370 criterion-1 families at every rank,
-    # with triples nested as B1 (x) (B2 (x) B3); factors and code round-trip.
-    # The Codes read P row by row, as build does for a large P, so the rows
-    # of a triple's P meet the pair table's arrays too
+    # criteria 1, 2 and 8 read table arrays, build runs on the steps: the two
+    # meet at the same int position of all 370 criterion-1 families at every
+    # rank, with triples nested as B1 (x) (B2 (x) B3); factors and code
+    # round-trip.  The products of `of` read P row by row, as build does for a
+    # large P, so the rows of a triple's P meet the pair table's arrays too
     rows = 0
     for c, space in _axiom_families():
         codes = _codes(space, eager_rows=0)
@@ -196,7 +202,7 @@ def test_product_tables_match_codes():
             if isinstance(space, ProductTable):
                 assert space.element(x) == b
         for i in c.nodes:
-            node = codes.node(i)
+            node = _node(codes, i)
             for x in codes:
                 ep, ph, up, down = node(x)
                 assert (space.stats[i][x], space.e[i][x], space.f[i][x]) == \
@@ -213,14 +219,18 @@ def test_a_dead_factor_fails_the_product_table(side, cut):
     # fresh tables, so the interned one stays intact; eps and phi are read
     # before the arrows of node 1 are cut, so the rule still picks a factor.
     # The table checks each factor's arrows on its own, so a cut on either
-    # side alone must fail too
+    # side alone must fail too.  Construction reads no array; e and f are
+    # built together, and kept only when both are, so every read fails
     c = CartanA(2)
     t, intact = KRTable(c, 1, 2), KRTable(c, 1, 2)
     t.stats
     getattr(t, side)[1] = [-1] * len(t.elements)
     left, right = {"both": (t, t), "left": (t, intact), "right": (intact, t)}[cut]
-    with pytest.raises(ModelConsistencyError, match=f"dead factor for {side}"):
-        ProductTable(left, right)
+    for reads in ("efe", "fef"):
+        space = ProductTable(left, right)
+        for array in reads:
+            with pytest.raises(ModelConsistencyError, match=f"dead factor for {side}"):
+                getattr(space, array)
 
 
 def test_f_closure_examples():
@@ -253,7 +263,7 @@ def test_classical_highest_path():
 
 
 def test_graph_exports_golden():
-    space = Codes((generate(CartanA(1), 1, 1)[0].table,))
+    space = ProductTable.of((generate(CartanA(1), 1, 1)[0].table,))
     codes = set(space)
     assert graph_dot(space, codes) == (
         'digraph crystal {\n'

@@ -9,8 +9,7 @@ import pytest
 
 from darkc import charring, cli, energy, kr
 from darkc.cartan import CartanA
-from darkc.crystal import (Codes, Memo, ModelConsistencyError, ProductTable, TensorElt,
-                           demazure_closure)
+from darkc.crystal import Memo, ModelConsistencyError, ProductTable, TensorElt, demazure_closure
 from darkc.dark import (DarkSet, DarkSpec, FactorWord, _close, build, dark_from_json,
                         dark_to_json, full_tensor, i_string_report,
                         lhs_character, make_spec, typeA_rows, verify, verify_detail,
@@ -409,7 +408,7 @@ def test_closure_walks_D_at_f0_arrivals():
     # with 0 must walk D where f_0 first reaches an element
     c = CartanA(2)
     dist = [find_b_rs(c, r, s) for r, s in ((1, 2), (1, 1))]
-    space = Codes([b.table for b in dist])
+    space = ProductTable.of([b.table for b in dist])
     seed = space.code(TensorElt(dist))
 
     def walk(x):

@@ -5,7 +5,7 @@ import pytest
 
 from darkc import energy
 from darkc.cartan import CartanA
-from darkc.crystal import Codes, ProductTable, TensorElt, classical_highest_path
+from darkc.crystal import ProductTable, TensorElt, classical_highest_path
 from darkc.energy import comb_R, local_H
 from darkc.kr import find_b_rs, generate, parse_tableau, parse_tensor
 from darkc.selftest import AXIOM_RANKS, PRODUCT_CAP, EnergyOracle, single_shapes
@@ -21,7 +21,7 @@ def tensor(n, *texts):
 
 def total_D(b):
     """energy.total_D of a tensor element, on its code over its factors' tables."""
-    space = Codes(a.table for a in b.factors)
+    space = ProductTable.of(a.table for a in b.factors)
     return energy.total_D(space, space.code(b))
 
 

@@ -131,17 +131,28 @@ def test_product_stats_are_built_only_where_read(monkeypatch):
 
 def test_energy_criterion_builds_no_product_weight_or_promotion(monkeypatch):
     # criterion 8's 152 pair tables are read through e, f and their factors'
-    # elements; wt and pr are built on first read, so it builds none
-    built = Counter()
-    for name in ("wt", "pr"):
+    # elements; stats, wt and pr are built on first read, so it builds none.
+    # The pairs of its energy tables only step, so they build no array at all
+    built = []
+    for name in ("stats", "wt", "pr"):
         def counting(self, _build=getattr(ProductTable, name).func, _name=name):
-            built[_name] += 1
+            built.append((_name, self))
             return _build(self)
         array = cached_property(counting)
         array.__set_name__(ProductTable, name)
         monkeypatch.setattr(ProductTable, name, array)
+
+    def arrows(self, _arrows=ProductTable._arrows):
+        built.append(("e, f", self))
+        return _arrows(self)
+    monkeypatch.setattr(ProductTable, "_arrows", arrows)
+    monkeypatch.setattr(energy, "_TABLES", {})  # fresh energy tables, dropped afterwards
     criterion_energy()
-    assert built == Counter()
+    assert Counter(name for name, _ in built) == Counter({"e, f": 152})
+    pairs = {id(p) for t in energy._TABLES.values() for p in (t.pair, t.swapped)}
+    assert len(pairs) == 2 * len(energy._TABLES) > 100
+    assert not pairs & {id(space) for _, space in built}
     # the tensor twists read both, once for each of the 355 products
+    built.clear()
     _tensor_twists()
-    assert built == Counter(wt=355, pr=355)
+    assert Counter(name for name, _ in built if name in ("wt", "pr")) == Counter(wt=355, pr=355)
