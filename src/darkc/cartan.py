@@ -40,7 +40,8 @@ class CartanA:
 
     @cached_property
     def d_numerators(self) -> tuple[int, ...]:
-        """j(m-j) = -2m <d, Lambda_j> for each node j (see d_coeff)."""
+        """j(m-j) = -2m <d, Lambda_j> for each node j, in the normalization
+        <d, Lambda_0> = 0."""
         return tuple(j * (self.m - j) for j in self.nodes)
 
     def a(self, i: int, j: int) -> int:
@@ -96,10 +97,6 @@ class AffineWeight(tuple):
     def level(self) -> int:
         return sum(self.lam)
 
-    def coroot_pair(self, i: int) -> int:
-        """<alpha_i_check, mu>, which is just the i-th Lambda coefficient."""
-        return self.lam[i]
-
     def __add__(self, other: "AffineWeight") -> "AffineWeight":
         if len(self) != len(other):
             raise ValueError("weights of different rank")
@@ -132,15 +129,6 @@ _vec = partial(tuple.__new__, AffineWeight)
 def zero_weight(c: CartanA) -> AffineWeight:
     return _vec((0,) * (c.m + 1))
 
-def fundamental_weight(c: CartanA, i: int) -> AffineWeight:
-    """Lambda_i."""
-    c.check_node(i)
-    return _vec([int(j == i) for j in range(c.m)] + [0])
-
-def delta_weight(c: CartanA) -> AffineWeight:
-    """The null root delta = (0, ..., 0; 1), with numerator d = 2m."""
-    return _vec((0,) * c.m + (2 * c.m,))
-
 
 @lru_cache(maxsize=None)
 def simple_root(c: CartanA, i: int) -> AffineWeight:
@@ -172,17 +160,6 @@ def rotate(c: CartanA, k: int, mu):
     return _vec(mu[cut:-1] + mu[:cut] + mu[-1:])
 
 
-def d_coeff(c: CartanA, j: int) -> Fraction:
-    """<d, Lambda_j> in the normalization <d, Lambda_0> = 0.
-
-    Solving sum_j a_ji x_j = delta_i0 - 1/m together with x_0 = 0 gives the
-    closed form x_j = -j(m-j)/(2m); the test suite re-derives it from the
-    linear system.
-    """
-    c.check_node(j)
-    return Fraction(-c.d_numerators[j], 2 * c.m)
-
-
 def d_pair(c: CartanA, mu: AffineWeight) -> Fraction:
     """<d, mu> = sum_j lam[j] <d, Lambda_j> + dlt (type A has <d, delta> = 1)."""
     return Fraction(mu[-1] - sum(map(mul, mu.lam, c.d_numerators)), 2 * c.m)
@@ -199,7 +176,3 @@ def aff_level_zero(c: CartanA, mu: tuple[int, ...]) -> AffineWeight:
 
 def weight_to_json(mu: AffineWeight) -> dict:
     return {"lam": list(mu.lam), "delta": str(mu.dlt)}
-
-
-def weight_from_json(obj: dict) -> AffineWeight:
-    return AffineWeight(tuple(obj["lam"]), Fraction(obj["delta"]))

@@ -22,8 +22,8 @@ from fractions import Fraction
 from itertools import chain
 from operator import lshift
 
-from .cartan import (AffineWeight, CartanA, _vec, rotate, simple_root,
-                     weight_from_json, weight_to_json, zero_weight)
+from .cartan import (AffineWeight, CartanA, _vec, rotate, simple_root, weight_to_json,
+                     zero_weight)
 
 
 class CharPoly:
@@ -98,10 +98,6 @@ class CharPoly:
 
 def char_to_json(f: CharPoly) -> list[dict]:
     return [{**weight_to_json(mu), "coef": coef} for mu, coef in f.sorted_terms()]
-
-
-def char_from_json(items) -> CharPoly:
-    return CharPoly([(weight_from_json(obj), obj["coef"]) for obj in items])
 
 
 # The narrowest digit of a packed weight, in bits (see _Packing).

@@ -16,7 +16,7 @@ import sys
 from .cartan import CartanA
 from .charring import char_to_json
 from .crystal import ModelConsistencyError, ProductTable, graph_dot, graph_json, labels
-from .dark import (DarkSpec, FactorWord, _build, build, dark_to_json, lhs_character,
+from .dark import (DarkSpec, FactorWord, _build, dark_to_json, lhs_character,
                    rhs_character, validate, verify_detail)
 from .energy import pair_energies, total_D
 from .kr import parse_tensor
@@ -89,10 +89,11 @@ def _cmd_build(args) -> int:
 
 def _cmd_char(args) -> int:
     spec = _spec_from_args(args)
+    validate(spec)
     if args.side == "rhs":
         poly = rhs_character(spec)
     else:
-        poly = lhs_character(spec, build(spec))
+        poly = lhs_character(spec, _build(spec, total_D))
     print(json.dumps(char_to_json(poly)))
     return 0
 

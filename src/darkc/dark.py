@@ -143,9 +143,6 @@ class DarkSet:
     def elements(self) -> frozenset:
         return frozenset(map(self.product.element, self.energies))
 
-    def sorted_elements(self) -> list[TensorElt]:
-        return [self.product.element(x) for x in sorted(self.energies)]
-
 
 def _close(space: ProductTable, letters, seeds, walk) -> dict:
     """F_{i_1}(... F_{i_k}(S)) on codes, innermost letter last, as a {code: D}
@@ -279,36 +276,6 @@ def full_tensor(spec: DarkSpec) -> frozenset:
     return frozenset(TensorElt(combo) for combo in product(*crystals))
 
 
-def i_string_report(elements, i: int):
-    """Diagnostic only: occupancy pattern of each i-string meeting the set.
-    Returns {(string length, occupied positions): count} with no judgement."""
-    elements = set(elements)
-    patterns: dict = {}
-    seen_heads = set()
-    for b in elements:
-        head = b
-        while True:
-            up = head.e(i)
-            if up is None:
-                break
-            head = up
-        if head in seen_heads:
-            continue
-        seen_heads.add(head)
-        string = [head]
-        cur = head
-        while True:
-            down = cur.f(i)
-            if down is None:
-                break
-            string.append(down)
-            cur = down
-        occupied = tuple(k for k, elt in enumerate(string) if elt in elements)
-        key = (len(string) - 1, occupied)
-        patterns[key] = patterns.get(key, 0) + 1
-    return dict(sorted(patterns.items()))
-
-
 def dark_to_json(dark: DarkSet) -> dict:
     spec = dark.spec
     return {
@@ -320,22 +287,3 @@ def dark_to_json(dark: DarkSet) -> dict:
         "size": len(dark),
         "elements": factor_texts(dark.product, sorted(dark.energies)),
     }
-
-
-def dark_from_json(obj: dict) -> DarkSet:
-    from .kr import parse_tableau
-
-    spec = make_spec(obj["n"], obj["lambda"], obj["r"],
-                     [(tuple(w["prefix"]), tuple(w["word"])) for w in obj["words"]])
-    c = spec.cartan
-    product = ProductTable.of(find_b_rs(c, rj, sj).table for rj, sj in zip(spec.r, spec.lam))
-    energies = {}
-    for texts in obj["elements"]:
-        if len(texts) != spec.p:
-            raise ValueError(f"element {'|'.join(texts)} has {len(texts)} factors, not {spec.p}")
-        b = TensorElt(tuple(parse_tableau(c, t, r) for t, r in zip(texts, spec.r)))
-        x = product.code(b)
-        energies[x] = total_D(product, x)
-    if obj["size"] != len(energies):
-        raise ValueError(f"size {obj['size']} but {len(energies)} distinct elements")
-    return DarkSet(spec, product, energies)

@@ -144,66 +144,6 @@ def _rows(cs, m: int) -> tuple:
                  for a in range(0, len(cs), m))
 
 
-def _unmatched(rows, i: int):
-    """Bracket entries i+1 (as '(') against later entries i (as ')') in the
-    reading word; return the leftover (opens, closes) cell lists."""
-    opens, closes = [], []
-    for a in range(len(rows) - 1, -1, -1):
-        for b, v in enumerate(rows[a]):
-            if v == i + 1:
-                opens.append((a, b))
-            elif v == i:
-                if opens:
-                    opens.pop()
-                else:
-                    closes.append((a, b))
-    return opens, closes
-
-
-def _with_entry(rows, cell, v):
-    a, b = cell
-    row = rows[a][:b] + (v,) + rows[a][b + 1:]
-    return rows[:a] + (row,) + rows[a + 1:]
-
-
-def _raised(rows, i: int):
-    """The rows with the first unbracketed i+1 raised to i, or None."""
-    opens = _unmatched(rows, i)[0]
-    return _with_entry(rows, opens[0], i) if opens else None
-
-
-def _lowered(rows, i: int):
-    """The rows with the last unbracketed i lowered to i+1, or None."""
-    closes = _unmatched(rows, i)[1]
-    return _with_entry(rows, closes[-1], i + 1) if closes else None
-
-
-def _promoted(rows, m: int):
-    """Schuetzenberger promotion on a rectangle: delete the entries equal to
-    n+1 (a suffix of the bottom row), slide the holes to the upper left by
-    jeu de taquin (leftmost hole first; ties slide the cell above), increment
-    everything else, and fill the holes with 1."""
-    r, s = len(rows), len(rows[0])
-    grid = [list(row) for row in rows]
-    hole_cols = [j for j in range(s) if grid[r - 1][j] == m]
-    for j in hole_cols:
-        grid[r - 1][j] = None
-    for j in hole_cols:
-        i, k = r - 1, j
-        while True:
-            above = grid[i - 1][k] if i > 0 else None
-            left = grid[i][k - 1] if k > 0 else None
-            if above is None and left is None:
-                break
-            if left is None or (above is not None and above >= left):
-                grid[i][k], grid[i - 1][k] = above, None
-                i -= 1
-            else:
-                grid[i][k], grid[i][k - 1] = left, None
-                k -= 1
-    return tuple(tuple(1 if v is None else v + 1 for v in row) for row in grid)
-
-
 def _demoted(rows, m: int):
     """Inverse promotion: delete the 1s (a prefix of the top row), slide the
     holes to the lower right (rightmost hole first; ties slide the cell
@@ -430,20 +370,6 @@ def _table(c: CartanA, r: int, s: int) -> KRTable:
     return table
 
 
-def classical_f(i: int, T: RectTableau):
-    """Lower the last unbracketed i to i+1, or None; a walk on the tableau."""
-    T.cartan.check_classical(i)
-    rows = _lowered(T.rows, i)
-    return None if rows is None else RectTableau(T.cartan, rows)
-
-
-def classical_e(i: int, T: RectTableau):
-    """Raise the first unbracketed i+1 to i, or None; a walk on the tableau."""
-    T.cartan.check_classical(i)
-    rows = _raised(T.rows, i)
-    return None if rows is None else RectTableau(T.cartan, rows)
-
-
 def promotion(T: RectTableau) -> RectTableau:
     return T.table.elements[T.table.pr[T.pos]]
 
@@ -455,11 +381,6 @@ def promotion_inverse(T: RectTableau) -> RectTableau:
 def promote_k(T: RectTableau, k: int) -> RectTableau:
     powers = T.table.pr_powers
     return T.table.elements[powers[k % len(powers)][T.pos]]
-
-
-def promotion_by_slides(T: RectTableau) -> RectTableau:
-    """Promotion by jeu de taquin on the tableau itself: the oracle for pr."""
-    return RectTableau(T.cartan, _promoted(T.rows, T.cartan.m))
 
 
 def promotion_inverse_by_slides(T: RectTableau) -> RectTableau:
@@ -485,12 +406,8 @@ def find_b_rs(c: CartanA, r: int, s: int) -> RectTableau:
     return generate(c, r, s)[0].table.b_rs
 
 
-def tableau_text(T: RectTableau) -> str:
-    return T.text()
-
-
 def parse_tableau(c: CartanA, text: str, r: int | None = None) -> RectTableau:
-    """Inverse of tableau_text.  '-' is the trivial element (r defaults to 1)."""
+    """Inverse of RectTableau.text.  '-' is the trivial element (r defaults to 1)."""
     text = text.strip()
     if text == "-":
         return RectTableau(c, ((),) * (r if r is not None else 1))

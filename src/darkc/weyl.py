@@ -6,12 +6,12 @@ is always a multiple of m; shift/m mod m is the Dynkin rotation class of the
 element, and the non-extended group W is the shift-zero part after reduction
 modulo the central translation t_(1,...,1).
 
->>> s1 = simple(2, 1)
+>>> s0, s1 = from_word(2, (0,)), from_word(2, (1,))
 >>> s1.win
 (2, 1)
 >>> (s1 * s1).win
 (1, 2)
->>> length(simple(2, 0) * s1 * simple(2, 0))
+>>> length(s0 * s1 * s0)
 3
 """
 
@@ -92,22 +92,9 @@ def _descents(win: tuple[int, ...]) -> list[int]:
     return [i for i in range(len(win)) if _descent(win, i)]
 
 
-def simple(m: int, i: int) -> ExtAffPerm:
-    """The simple reflection s_i, swapping residue classes i and i+1 (mod m)."""
-    return from_word(m, (i,))
-
-
 def rot(m: int, k: int = 1) -> ExtAffPerm:
     """The window-shift generator pi^k of Sigma, i |-> i + k."""
     return ExtAffPerm(tuple(i + k for i in range(1, m + 1)))
-
-
-def translation(c: CartanA, a) -> ExtAffPerm:
-    """t_a for an integer vector a of length m: f(i) = i + m * a_i on the window."""
-    a = tuple(int(v) for v in a)
-    if len(a) != c.m:
-        raise ValueError(f"translation vector must have length {c.m}")
-    return ExtAffPerm(tuple(i + c.m * a[i - 1] for i in range(1, c.m + 1)))
 
 
 def _word_window(m: int, letters) -> tuple[tuple[int, ...], bool]:
@@ -175,11 +162,6 @@ def factor_sigma(w: ExtAffPerm) -> tuple[ExtAffPerm, int]:
     if not eq_mod_center(y * rot(m, k), w):
         raise AssertionError("factor_sigma recomposition failed")
     return y, k
-
-
-def left_descents(w: ExtAffPerm) -> list[int]:
-    """The i with s_i * w < w: the descents of the inverse window."""
-    return _descents(w.inverse().win)
 
 
 def reduced_word(w: ExtAffPerm) -> tuple[int, ...]:

@@ -10,10 +10,10 @@ import pytest
 
 from darkc import charring
 from darkc.cartan import AffineWeight, CartanA, _vec, simple_root
-from darkc.charring import (CharPoly, _Packing, char_from_json, char_to_json,
-                            demazure_op, demazure_word, fit_delta_shift, rhs_formula,
-                            sigma_act)
+from darkc.charring import (CharPoly, _Packing, char_to_json, demazure_op, demazure_word,
+                            fit_delta_shift, rhs_formula, sigma_act)
 from darkc.selftest import _random_poly, demazure_by_division, grid_specs
+from oracles import char_from_json
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (the benchmark's ladder specs)

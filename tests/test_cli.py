@@ -155,6 +155,19 @@ def test_invalid_words_exit_2_with_the_validation_message(capsys, w, message):
     assert (code, out, err) == (2, "", f"darkc: error: {message}\n")
 
 
+@pytest.mark.parametrize("side", ["rhs", "lhs"])
+@pytest.mark.parametrize("spec, message", [
+    pytest.param(("--n", "2", "--lambda", "1", "--r", "3"),
+                 "classical node 3 out of range for rank 2", id="node-out-of-range"),
+    pytest.param(("--n", "1", "--lambda", "1", "--w", "0"),
+                 "factor 0: word (0,) is not below y_1 in Bruhat order", id="word-not-below-y"),
+])
+def test_char_validates_the_spec_on_either_side(capsys, side, spec, message):
+    # the rhs formula takes any spec, so char must validate before it
+    code, out, err = run_main(capsys, "char", *spec, "--side", side)
+    assert (code, out, err) == (2, "", f"darkc: error: {message}\n")
+
+
 @pytest.mark.parametrize("error", [ModelConsistencyError, RecursionError, MemoryError,
                                    OverflowError])
 def test_internal_errors_exit_3(monkeypatch, capsys, error):

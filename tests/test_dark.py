@@ -10,23 +10,24 @@ import pytest
 from darkc import charring, cli, energy, kr
 from darkc.cartan import CartanA
 from darkc.crystal import Memo, ModelConsistencyError, ProductTable, TensorElt, demazure_closure
-from darkc.dark import (DarkSet, DarkSpec, FactorWord, _close, build, dark_from_json,
-                        dark_to_json, full_tensor, i_string_report,
-                        lhs_character, make_spec, typeA_rows, verify, verify_detail,
-                        well_definedness_check)
+from darkc.dark import (DarkSet, DarkSpec, FactorWord, _close, build, dark_to_json,
+                        full_tensor, lhs_character, make_spec, typeA_rows, verify,
+                        verify_detail, well_definedness_check)
 from darkc.charring import CharPoly, char_to_json
-from darkc.cartan import AffineWeight, aff_level_zero, delta_weight, fundamental_weight
+from darkc.cartan import AffineWeight, aff_level_zero
 from darkc.energy import total_D
 from darkc.kr import find_b_rs, generate, parse_tableau, parse_tensor, twist
 from darkc.selftest import grid_specs
 from darkc.weyl import kr_translation_data, reduced_word
+from oracles import (dark_from_json, delta_weight, fundamental_weight, i_string_report,
+                     sorted_elements)
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (the benchmark's ladder and sweep specs)
 
 
 def texts(dark):
-    return [b.text() for b in dark.sorted_elements()]
+    return [b.text() for b in sorted_elements(dark)]
 
 
 def test_build_single_factor_examples():
@@ -254,7 +255,7 @@ def test_carried_energy_matches_total_D_and_the_object_build(group):
         assert dark.elements == object_space_build(spec), spec
         for x, d in dark.energies.items():
             assert d == total_D(dark.product, x), (spec, x)
-        assert dark.sorted_elements() == sorted(dark.elements, key=lambda b: b.sort_key())
+        assert sorted_elements(dark) == sorted(dark.elements, key=lambda b: b.sort_key())
 
 
 def test_verify_builds_no_tensor_elements(monkeypatch):

@@ -12,8 +12,8 @@ from darkc.dark import make_spec, validate
 from darkc.weyl import (ExtAffPerm, all_reduced_words, bruhat_leq,
                         bruhat_lower_interval, eq_mod_center, factor_sigma,
                         from_reduced_word, from_word, identity,
-                        kr_translation_data, left_descents, length,
-                        reduced_word, reduce_to_weyl, rot, simple, translation)
+                        kr_translation_data, length, reduced_word, reduce_to_weyl, rot)
+from oracles import left_descents, simple, translation
 
 
 def test_window_validation():
