@@ -176,8 +176,8 @@ def test_product_tables_match_codes():
     # criteria 1, 2 and 8 read table arrays, build runs on the steps: the two
     # meet at the same int position of all 370 criterion-1 families at every
     # rank, with triples nested as B1 (x) (B2 (x) B3); factors and code
-    # round-trip.  The products of `of` read P row by row, as build does for a
-    # large P, so the rows of a triple's P meet the pair table's arrays too
+    # round-trip.  With eager_rows=0, `of` reads P row by row, as build does
+    # for a large P, so the rows of a triple's P meet the pair table's arrays
     rows = 0
     for c, space in _axiom_families():
         codes = _codes(space, eager_rows=0)

@@ -25,7 +25,7 @@ def _unused_names(src: Path, exported) -> list[str]:
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             own = set(map(id, ast.walk(node)))
             if node.name not in exported and all(id(use) in own for use in uses[node.name]):
