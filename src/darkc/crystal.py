@@ -7,11 +7,11 @@ A tensor product of KR crystals is held two ways, one for each job:
 - `ProductTable`, the two-factor product B_1 (x) P of the first table and
   the product of the rest, where an element is one int, its position (its
   code) x = a*len(P) + c in canonical order for B_1[a] (x) P[c].  It gives
-  Kashiwara's rule for two factors both per position, for sparse closures
-  (`dark.build`), the energy tables and the exports, and as arrays over all
-  positions, for whole-product checks (selftest criteria 1, 2 and 8) and the
-  energy oracle.  A large P is read row by row as a set reaches it, so a
-  sparse set does not pay for the whole product.
+  Kashiwara's rule for two factors per position, for the energy tables and
+  the exports; per i-string, for the closures of `dark.build`; and as arrays
+  over all positions, for whole-product checks (selftest criteria 1, 2 and
+  8) and the energy oracle.  A large P is read row by row as a set reaches
+  it, so a sparse set does not pay for the whole product.
 
 The distinguished zero of a crystal is represented by None: crystal operators
 return None when they annihilate an element, and never raise.
@@ -213,13 +213,15 @@ class ProductTable:
     """left (x) right for a KRTable left and an enumerated crystal right (a
     KRTable, a ProductTable, or the `_Unit` or `_Rows` of `of`), with `tables`
     its KR factors.  For every node i, Kashiwara's rule on (e1, p1) =
-    left.stats[i][a] and (e2, p2) = right.stats[i][c] is written in two
-    shapes: per position by the steps raising(i), lowering(i) and eps_phi(i),
-    and per row as KRTable's arrays stats[i][x], e[i][x] and f[i][x] (-1 for
-    0), with wt[x] the sum of the factors' weights and pr[x], pr_powers[k][x]
-    the products of their promotions.  The arrays need a filled right factor
-    and are built on first read, e and f together, so construction does no
-    work.  A chosen factor that its array kills is a ModelConsistencyError."""
+    left.stats[i][a] and (e2, p2) = right.stats[i][c] is written in three
+    shapes: per position by the steps raising(i), lowering(i) and eps_phi(i);
+    per i-string by close(i, energies, walk), which walks f_i down the
+    factors' arrays with no call per element; and per row as KRTable's arrays
+    stats[i][x], e[i][x] and f[i][x] (-1 for 0), with wt[x] the sum of the
+    factors' weights and pr[x], pr_powers[k][x] the products of their
+    promotions.  The arrays need a filled right factor and are built on first
+    read, e and f together, so construction does no work.  A chosen factor
+    that its array kills is a ModelConsistencyError."""
 
     def __init__(self, left, right):
         self.cartan = left.cartan
@@ -233,12 +235,16 @@ class ProductTable:
         rest: the one-element _Unit for one table, the KR table for two, and
         otherwise ProductTables of the rest when P has at most `eager_rows`
         rows, else the rows of `inner`, the product of the rest (built here
-        when not given), filled as they are read."""
+        when not given), filled as they are read.  An enumerated P is `inner`
+        itself when its own right factor is enumerated, so that each table's
+        arrays are built once."""
         left, *rest = tables
         if len(rest) <= 1:
             return cls(left, rest[0] if rest else _Unit(left.cartan))
         if prod(len(t.elements) for t in rest) > eager_rows:
             return cls(left, _Rows(inner or cls.of(rest)))
+        if inner is not None and not isinstance(inner.right, _Rows):
+            return cls(left, inner)
         right = rest[-1]
         for t in reversed(rest[:-1]):
             right = cls(t, right)
@@ -271,6 +277,35 @@ class ProductTable:
                 return x - c + y
             return None
         return step
+
+    def close(self, i: int, energies: dict, walk) -> None:
+        """F_i on a {code: D} map, in place.  F_i S is the union of the
+        i-strings below S (Kashiwara's string property), so from each code
+        the walk steps (a, c) down its string on the factors' arrays, as
+        `lowering` does, until the string ends or reaches a code already in
+        the map.  A step along a classical f_i copies D from its source; an
+        element first reached by f_0 gets walk(y)."""
+        s1, d1 = self.left.stats[i], self.left.f[i]
+        s2, d2, n = self.right.stats[i], self.right.f[i], self.width
+        for x in list(energies):
+            d = energies[x]
+            a, c = divmod(x, n)
+            while True:
+                e2, p2 = s2[c]
+                if s1[a][1] > e2:
+                    a = d1[a]
+                    if a < 0:
+                        raise _dead("f")
+                elif p2:
+                    c = d2[c]
+                    if c < 0:
+                        raise _dead("f")
+                else:
+                    break
+                y = a * n + c
+                if y in energies:
+                    break
+                energies[y] = d if i else walk(y)
 
     def raising(self, i: int):
         """x -> e_i x, or None: right moves if e2 > p1, else the left factor if e1 > 0."""

@@ -13,17 +13,19 @@ bound shows that no digit can carry, and verify fits C on the keys.
 B_j (x) ... (x) B_p is one int, its position a*len(P) + c in canonical order,
 where P = B_{j+1} (x) ... (x) B_p, the space of the level before, is a
 table: enumerated when it is small or the level before filled much of it,
-and otherwise read row by row, each row worked out when first read.  f_i is
-Kashiwara's rule for the two factors B_j and P, and the twist is a read of
-P's promotion powers.  The final set keeps its energy D with each code.  D is
+and otherwise read row by row, each row worked out when first read.  F_i
+walks each i-string below the set on the arrays of B_j and P by Kashiwara's
+rule for two factors (`ProductTable.close`), and the twist is a read of P's
+promotion powers.  The final set keeps its energy D with each code.  D is
 constant on classical components: the local energy H is classically invariant
 and the R-matrix commutes with the classical e_i and f_i (Shimozono 2002;
 Schilling-Tingley, arXiv:1104.2359).  So a closure step along a classical
 letter copies D from its source, and only the seeds b (x) twist(x) and the
 elements first reached by f_0 take a total_D walk, which runs on the code
 too.  The words of a spec lie below y_r in the classical Weyl group and hold
-no 0, so in `build` the walks are one per seed.  TensorElt objects appear
-only at the boundary: parsing, printing, export and the oracles.
+no 0, so in `build` the walks are one per seed, and the largest |D| of the
+walks bounds the lhs digits without a scan of the set.  TensorElt objects
+appear only at the boundary: parsing, printing, export and the oracles.
 """
 
 from __future__ import annotations
@@ -129,12 +131,13 @@ def validate(spec: DarkSpec) -> None:
 @dataclass(frozen=True, eq=False)
 class DarkSet:
     """A DARK set as codes over `product`, each mapped to its energy D (None
-    throughout when _build ran with grade None).  Codes sort in canonical
-    order."""
+    throughout when _build ran with grade None), and `depth`, the largest |D|
+    (0 without D).  Codes sort in canonical order."""
 
     spec: DarkSpec
     product: ProductTable
     energies: dict
+    depth: int
 
     def __len__(self):
         return len(self.energies)
@@ -146,21 +149,11 @@ class DarkSet:
 
 def _close(space: ProductTable, letters, seeds, walk) -> dict:
     """F_{i_1}(... F_{i_k}(S)) on codes, innermost letter last, as a {code: D}
-    map with D = walk(seed) at each seed.  D is constant on classical
-    components, so a step along a classical f_i copies D from its source; an
-    element first reached by f_0 gets walk(it)."""
+    map with D = walk(seed) at each seed, closed one letter at a time by
+    `ProductTable.close`."""
     energies = {y: walk(y) for y in seeds}
     for i in reversed(letters):
-        f = space.lowering(i)
-        frontier = list(energies)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                y = f(x)
-                if y is not None and y not in energies:
-                    energies[y] = energies[x] if i else walk(y)
-                    nxt.append(y)
-            frontier = nxt
+        space.close(i, energies, walk)
     return energies
 
 
@@ -184,13 +177,20 @@ def _build(spec: DarkSpec, grade) -> DarkSet:
     dist = [find_b_rs(c, rj, sj) for rj, sj in zip(spec.r, spec.lam)]
     tables = [b.table for b in dist]
     energies = {0: None}  # the one element of the empty tensor product
-    space = None
+    space, depth = None, 0
+
+    def walk(x):  # every D is set here: a classical letter copies it
+        nonlocal depth
+        d = grade(space, x)
+        depth = max(depth, abs(d))
+        return d
+
     for j in range(spec.p - 1, -1, -1):
         space = ProductTable.of(tables[j:], space, max(EAGER_ROWS, 4 * len(energies)))
-        walk = (lambda x: grade(space, x)) if j == 0 and grade is not None else (lambda x: None)
         x0, twist = dist[j].pos * space.width, space.right.pr_powers[spec.r[j] % c.m]  # tau_r = r
-        energies = _close(space, spec.words[j].letters, [x0 + twist[x] for x in energies], walk)
-    return DarkSet(spec, space, energies)
+        energies = _close(space, spec.words[j].letters, [x0 + twist[x] for x in energies],
+                          walk if j == 0 and grade is not None else lambda x: None)
+    return DarkSet(spec, space, energies, depth)
 
 
 def well_definedness_check(spec: DarkSpec, cap: int = 10) -> bool:
@@ -225,12 +225,12 @@ def lhs_character(spec: DarkSpec, dark: DarkSet):
     outweigh unread rows there), else filled as the set reaches rows; a row
     of nonzero level raises.  No digit carries: a Lambda coordinate is at
     most lam_1 + reach, the sum of the tables' largest weight coordinates, a
-    delta numerator reach * sum_j j(m-j) + 2m max|D|."""
+    delta numerator reach * sum_j j(m-j) + 2m depth, the largest |D|."""
     c, space, energies = spec.cartan, dark.product, dark.energies
     packing = _Packing(c, spec.lam[0])
     reach = sum(max(map(abs, chain.from_iterable(t.wt))) for t in space.tables)
-    depth = max(map(abs, energies.values()), default=0)
-    packing.cover(max(abs(spec.lam[0]) + reach, reach * sum(c.d_numerators) + 2 * c.m * depth))
+    packing.cover(max(abs(spec.lam[0]) + reach,
+                      reach * sum(c.d_numerators) + 2 * c.m * dark.depth))
     basis = [(1 << packing.bits * j) + (d << packing.bits * c.m)
              for j, d in enumerate(c.d_numerators)]
     def row_keys(table, rows):

@@ -7,13 +7,14 @@ ordering or wall time, so repeated runs print identical bytes.
 Criteria 1, 2 and 8 check whole products, so they read the arrays of the KR
 tables and of `crystal.ProductTable`, a triple being B1 (x) (B2 (x) B3):
 the axioms, the tensor twist equations, and R commuting with every e_i and
-f_i.  `build` runs on the per-position steps of the same class, which the
-tests tie to these arrays.  `EnergyOracle`, which criterion 8 compares R and
-H of `energy.energy_table` with, walks the arrays of the pair's two product
-tables, the rule in its row shape, while `energy` moves pairs by the steps:
-no tensor-rule code is shared.  Criterion 2 checks promotion on the
-tableaux, and `TensorElt` serves the Yang-Baxter check on `comb_R` and names
-an element in a failure, built only then.
+f_i.  `build` walks i-strings on the factors' arrays (`ProductTable.close`),
+which the tests tie to a closure by the per-position steps of the same
+class, and those steps to these arrays.  `EnergyOracle`, which criterion 8
+compares R and H of `energy.energy_table` with, walks the arrays of the
+pair's two product tables, the rule in its row shape, while `energy` moves
+pairs by the steps: no tensor-rule code is shared.  Criterion 2 checks
+promotion on the tableaux, and `TensorElt` serves the Yang-Baxter check on
+`comb_R` and names an element in a failure, built only then.
 """
 
 from __future__ import annotations

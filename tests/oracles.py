@@ -184,6 +184,26 @@ def i_string_report(elements, i: int):
     return dict(sorted(patterns.items()))
 
 
+def bfs_close(space: ProductTable, letters, seeds, walk) -> dict:
+    """F_{i_1}(... F_{i_k}(S)) on codes, innermost letter last, breadth first
+    by the step `space.lowering(i)`: the reference for `dark._close`.  A step
+    along a classical f_i copies D from its source; an element first reached
+    by f_0 gets walk(it)."""
+    energies = {y: walk(y) for y in seeds}
+    for i in reversed(letters):
+        f = space.lowering(i)
+        frontier = list(energies)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                y = f(x)
+                if y is not None and y not in energies:
+                    energies[y] = energies[x] if i else walk(y)
+                    nxt.append(y)
+            frontier = nxt
+    return energies
+
+
 def dark_from_json(obj: dict) -> DarkSet:
     """The DARK set of a `dark.dark_to_json` object, each element with its
     total_D."""
@@ -200,4 +220,4 @@ def dark_from_json(obj: dict) -> DarkSet:
         energies[x] = total_D(product, x)
     if obj["size"] != len(energies):
         raise ValueError(f"size {obj['size']} but {len(energies)} distinct elements")
-    return DarkSet(spec, product, energies)
+    return DarkSet(spec, product, energies, max(map(abs, energies.values()), default=0))

@@ -233,6 +233,33 @@ def test_a_dead_factor_fails_the_product_table(side, cut):
                 getattr(space, array)
 
 
+def test_an_enumerated_P_is_inner_only_over_enumerated_rows():
+    # P is inner itself when inner's own right factor is enumerated, so its
+    # arrays are built once; an inner over rows read one at a time has no
+    # arrays to read, and an enumerated P is then built afresh
+    c = CartanA(2)
+    tables = [generate(c, 1, s)[0].table for s in (3, 2, 1, 1)]
+    whole = ProductTable.of(tables)
+    for inner_rows in (EAGER_ROWS, 1):
+        inner = ProductTable.of(tables[1:], eager_rows=inner_rows)
+        space = ProductTable.of(tables, inner)
+        assert (space.right is inner) == (inner_rows == EAGER_ROWS)
+        assert (space.stats, space.e, space.f) == (whole.stats, whole.e, whole.f)
+
+
+def test_a_dead_factor_fails_the_closure_walk(monkeypatch):
+    # "1" in one fresh B^{1,1} at n = 1 loses its f_1 arrow: the walk from
+    # 1 (x) 1 moves the left factor, from 2 (x) 1 the right one, and each
+    # must fail on the factor cut, the other factor being intact
+    c = CartanA(1)
+    t, intact = KRTable(c, 1, 1), KRTable(c, 1, 1)
+    pos = {b.text(): b.pos for b in t.elements}
+    monkeypatch.setitem(t.f, 1, [-1 if k == pos["1"] else y for k, y in enumerate(t.f[1])])
+    for space, left in ((ProductTable(t, intact), "1"), (ProductTable(intact, t), "2")):
+        with pytest.raises(ModelConsistencyError, match="dead factor for f"):
+            space.close(1, {pos[left] * 2 + pos["1"]: 0}, None)
+
+
 def test_f_closure_examples():
     assert f_closure(1, set()) == set()
     seed = {tensor(1, "1", "1")}

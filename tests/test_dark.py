@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -9,7 +10,8 @@ import pytest
 
 from darkc import charring, cli, energy, kr
 from darkc.cartan import CartanA
-from darkc.crystal import Memo, ModelConsistencyError, ProductTable, TensorElt, demazure_closure
+from darkc.crystal import (Memo, ModelConsistencyError, ProductTable, TensorElt, _Rows,
+                           demazure_closure)
 from darkc.dark import (DarkSet, DarkSpec, FactorWord, _close, build, dark_to_json,
                         full_tensor, lhs_character, make_spec, typeA_rows, verify,
                         verify_detail, well_definedness_check)
@@ -18,9 +20,9 @@ from darkc.cartan import AffineWeight, aff_level_zero
 from darkc.energy import total_D
 from darkc.kr import find_b_rs, generate, parse_tableau, parse_tensor, twist
 from darkc.selftest import grid_specs
-from darkc.weyl import kr_translation_data, reduced_word
-from oracles import (dark_from_json, delta_weight, fundamental_weight, i_string_report,
-                     sorted_elements)
+from darkc.weyl import bruhat_lower_interval, kr_translation_data, length, reduced_word
+from oracles import (bfs_close, dark_from_json, delta_weight, fundamental_weight,
+                     i_string_report, sorted_elements)
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (the benchmark's ladder and sweep specs)
@@ -349,7 +351,8 @@ def test_lhs_of_an_unchecked_spec_with_a_negative_part(fresh_tables):
     spec = make_spec(1, (1,), words=[(1,)])
     dark = build(spec)
     bad = DarkSpec(spec.cartan, (-1,), spec.r, spec.words)
-    assert lhs_character(bad, DarkSet(bad, dark.product, dark.energies)) == folded_lhs(bad, dark)
+    back = DarkSet(bad, dark.product, dark.energies, dark.depth)
+    assert lhs_character(bad, back) == folded_lhs(bad, dark)
 
 
 def test_sparse_set_reads_few_rows_of_a_large_product():
@@ -418,6 +421,67 @@ def test_closure_walks_D_at_f0_arrivals():
     energies = _close(space, (1, 0, 2, 0, 1), [seed], walk)
     assert len(set(energies.values())) > 1  # so copying along f_0 would be wrong
     assert all(d == walk(x) for x, d in energies.items())
+
+
+def sparse_specs() -> list[DarkSpec]:
+    """Small sets in products of three and four B^{2,3} at n = 4, whose P
+    (175^2 and 175^3 rows) build reads row by row: empty words, the words
+    2; 1; 3 (; 2), and seeded words of length at most 2 below y_2."""
+    c, rng = CartanA(4), random.Random(20)
+    short = sorted((reduced_word(w) for w in bruhat_lower_interval(kr_translation_data(c, 2)[0])
+                    if length(w) <= 2))
+    specs = []
+    for p in (3, 4):
+        words = [None, [(2,), (1,), (3,), (2,)][:p]]
+        words += [[rng.choice(short) for _ in range(p)] for _ in range(4)]
+        specs += [make_spec(4, (3,) * p, r=(2,) * p, words=w) for w in words]
+    return specs
+
+
+CLOSE_SPECS = {
+    "grid": grid_specs,
+    "ladder": lambda: [workloads.maximal_spec(*case) for case in workloads.LADDER],
+    "sweep": lambda: workloads.sweep_specs(20),
+    "sparse": sparse_specs,
+}
+
+
+@pytest.mark.parametrize("group", sorted(CLOSE_SPECS))
+def test_closure_walk_matches_the_step_bfs(group, monkeypatch):
+    # ProductTable.close walks each i-string on the factors' arrays, in no
+    # BFS order; at every level of build it must give the {code: D} map of
+    # the breadth-first closure by lowering steps, and the set its depth
+    rights = []
+
+    def checked(space, letters, seeds, walk):
+        seeds = list(seeds)
+        got = _close(space, letters, seeds, walk)
+        assert got == bfs_close(space, letters, seeds, walk), (space.tables, letters)
+        rights.append(type(space.right))
+        return got
+
+    monkeypatch.setattr("darkc.dark._close", checked)
+    specs = CLOSE_SPECS[group]()
+    for spec in specs:
+        dark = build(spec)
+        assert dark.depth == max(map(abs, dark.energies.values())), spec
+    assert len(rights) == sum(spec.p for spec in specs)  # one closure per level
+    assert (_Rows in rights) == (group == "sparse")
+
+
+def test_build_fills_each_pair_table_once(monkeypatch):
+    # the level of B^{1,4} reads as P the space of the level before, whose
+    # right factor B^{1,2} (x) B^{1,1} got its arrays there: no fresh chain
+    # builds them again
+    built = []
+
+    def arrows(self, _arrows=ProductTable._arrows):
+        built.append(tuple(t.name for t in self.tables))
+        return _arrows(self)
+
+    monkeypatch.setattr(ProductTable, "_arrows", arrows)
+    build(workloads.maximal_spec(*workloads.LADDER[0]))
+    assert built == [("B^{1,2}", "B^{1,1}"), ("B^{1,3}", "B^{1,2}", "B^{1,1}")]
 
 
 def charge(word) -> int:
