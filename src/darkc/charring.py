@@ -55,10 +55,6 @@ class CharPoly:
         return cls({mu: coef})
 
     @classmethod
-    def zero(cls) -> "CharPoly":
-        return cls()
-
-    @classmethod
     def one(cls, c: CartanA) -> "CharPoly":
         return cls.monomial(zero_weight(c))
 

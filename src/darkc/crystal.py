@@ -54,8 +54,9 @@ def signature_rule(pairs) -> tuple[int, int, int | None, int | None]:
     cancels a later '-'.  Folded left to right, it returns (eps_i, phi_i, the
     factor of the rightmost uncancelled '-', the factor of the leftmost
     uncancelled '+'); a factor is None when no such sign is left.  TensorElt
-    passes its factors' stats(i), `kr.KRTable` the rows of a tableau;
-    `ProductTable` writes out the case of two factors."""
+    passes its factors' stats(i); `kr.KRTable` folds the same rule over the
+    rows of all its tableaux at once, and `ProductTable` writes out the case
+    of two factors."""
     ep = ph = k = 0
     up = down = None
     for eb, pb in pairs:

@@ -10,21 +10,23 @@ and holds the crystal structure as integer arrays over their indices.  A row
 is its content and a rectangle is the tensor product of its rows (Shimozono,
 Affine type A crystal structure on tensor products of rectangles, 2002), so
 the table enumerates row contents and builds the classical arrays by the
-signature rule over rows; promotion is read off those arrays.  A tableau is
-its position in the table, and its rows are built from its contents only
-when they are read.  The same rule gives the string lengths, checked against
-the arrows.  The walks on the reading word and the jeu-de-taquin slides build
+signature rule over rows, folded in a row at a time with one column pass over
+all elements per array; promotion is read off those arrays.  A tableau is its
+position in the table, and its rows are built from its contents only when
+they are read.  The same fold gives the string lengths, checked against the
+arrows.  The walks on the reading word and the jeu-de-taquin slides build
 nothing; they stay as oracles for the classical and the promotion arrays.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
 from .cartan import CartanA
-from .crystal import ModelConsistencyError, TensorElt, signature_rule
+from .crystal import ModelConsistencyError, TensorElt
 
 _TABLES: dict = {}
 _CARTANS: dict = {}
@@ -183,11 +185,12 @@ class KRTable:
     positions are built on first use:
 
     - cl_e[i][k], cl_f[i][k]: for classical i, the position of e_i / f_i of
-      element k, or -1, both from one signature rule over its rows;
+      element k, or -1, both from the signature rule over its rows, folded
+      for all elements at once by column passes (no call per element);
     - pr, pr_inv: promotion and its inverse as permutations, from cl_e and
       cl_f alone (no slides);
     - e[i][k], f[i][k], eps[i][k], phi[i][k]: cl_e, cl_f and the lengths of
-      the i-string above and below k from the same rule, plus node 0 by pr;
+      the i-string above and below k from the same fold, plus node 0 by pr;
     - stats[i][k]: the pair (eps[i][k], phi[i][k]);
     - wt[k]: its classical weight, the int tuple of its Lambda coefficients;
     - b_rs: the distinguished element b^{r,s}.
@@ -199,13 +202,12 @@ class KRTable:
         self.name = f"B^{{{r},{s}}}"
         self.contents = _contents(c.m, r, s)
         self.index = {cs: k for k, cs in enumerate(self.contents)}
-        self.elements = tuple(map(self._intern, range(len(self.contents))))
-
-    def _intern(self, k) -> RectTableau:
-        T = object.__new__(RectTableau)
-        for name, value in (("cartan", self.cartan), ("table", self), ("pos", k)):
-            object.__setattr__(T, name, value)
-        return T
+        size = len(self.contents)
+        self.elements = tuple(map(object.__new__, repeat(RectTableau, size)))
+        # the slot descriptors fill the slots past RectTableau.__setattr__
+        for slot, values in ((RectTableau.cartan, repeat(c)), (RectTableau.table, repeat(self)),
+                             (RectTableau.pos, range(size))):
+            deque(map(slot.__set__, self.elements, values), 0)
 
     @cached_property
     def wt(self) -> list[tuple[int, ...]]:
@@ -250,11 +252,12 @@ class KRTable:
         for k, b in lows.items():
             pr[b] = highs[k]
             stack.append(b)
+        arrows = [(i, f[i], f[i + 1]) for i in range(1, n)]
         while stack:
             b = stack.pop()
             p = pr[b]
-            for i in range(1, n):
-                c, d = f[i][b], f[i + 1][p]
+            for i, f_i, f_next in arrows:
+                c, d = f_i[b], f_next[p]
                 if (c < 0) != (d < 0):
                     raise ModelConsistencyError(
                         f"promotion does not carry f_{i} to f_{i + 1} in {self.name}")
@@ -300,30 +303,44 @@ class KRTable:
 
     @cached_property
     def _classical(self) -> tuple[_ByNode, _ByNode, _ByNode, _ByNode]:
-        """cl_e, cl_f, eps and phi of the classical nodes by one signature rule
-        per element and node.  The rows go in top row first (the reading word
-        backwards), each as the pair (#(i+1), #i) of its eps_i and phi_i.  e_i
-        turns one i+1 of the chosen row into i, f_i one i into i+1.  Contents
-        are read as the digits of an int key base s+1, so a move is one
-        addition to the key, looked up among the keys of `index`."""
-        m, size, (r, s) = self.cartan.m, len(self.contents), self.shape
+        """cl_e, cl_f, eps and phi of the classical nodes by the signature rule
+        over the rows, one column pass per row and array.  The rows go in top
+        row first (the reading word backwards), each as the pair (#(i+1), #i)
+        of its eps_i and phi_i.  Row 0 starts the state; each further row is
+        folded into all elements at once, as crystal.signature_rule folds one
+        element's pairs.  e_i turns one i+1 of the chosen row into i, f_i one i
+        into i+1.  Contents are read as the digits of an int key base s+1, so a
+        move is one addition to the key (None for no move; every move is 0 at
+        s = 0), looked up among the keys of `index` in one pass per node."""
+        m, (r, s), contents, size = self.cartan.m, self.shape, self.contents, len(self.contents)
         powers = [(s + 1) ** t for t in range(r * m)]
-        keys = [sum(map(mul, cs, powers)) for cs in self.contents]
+        keys = [sum(map(mul, cs, powers)) for cs in contents]
         index = {keys[k]: k for k in self.index.values()}
         e, f, eps, phi = arrays = _ByNode(), _ByNode(), _ByNode(), _ByNode()
         try:
             for i in self.cartan.classical_nodes:
-                cells = range(i - 1, r * m, m)  # the count of i in each row
-                moves = [powers[j] - powers[j + 1] for j in cells]
+                move = powers[i - 1] - powers[i]
+                ep = list(map(itemgetter(i), contents))
+                ph = list(map(itemgetter(i - 1), contents))
+                up = [move if a else None for a in ep]
+                down = [move if b else None for b in ph]
+                for j in range(i - 1 + m, r * m, m):  # a, b: the row's #(i+1), #i; p: phi so far
+                    move = powers[j] - powers[j + 1]
+                    a_col = list(map(itemgetter(j + 1), contents))
+                    b_col = list(map(itemgetter(j), contents))
+                    up = [move if a > p else u for a, p, u in zip(a_col, ph, up)]
+                    down = [d if a < p else move if b else None
+                            for a, b, p, d in zip(a_col, b_col, ph, down)]
+                    ep = [v + a - p if a > p else v for v, a, p in zip(ep, a_col, ph)]
+                    ph = [b + p - a if p > a else b for a, b, p in zip(a_col, b_col, ph)]
+                # filled in place: arrays grown by comprehensions raised peak RSS
                 e[i], f[i] = up_i, down_i = [-1] * size, [-1] * size
-                eps[i], phi[i] = ep_i, ph_i = [0] * size, [0] * size
-                for k, cs in enumerate(self.contents):
-                    ep_i[k], ph_i[k], up, down = signature_rule([(cs[j + 1], cs[j])
-                                                                 for j in cells])
-                    if up is not None:
-                        up_i[k] = index[keys[k] + moves[up]]
-                    if down is not None:
-                        down_i[k] = index[keys[k] - moves[down]]
+                for k, key, u, d in zip(range(size), keys, up, down):
+                    if u is not None:
+                        up_i[k] = index[key + u]
+                    if d is not None:
+                        down_i[k] = index[key - d]
+                eps[i], phi[i] = ep, ph
         except KeyError:
             raise ModelConsistencyError(f"a classical arrow left {self.name}") from None
         return arrays

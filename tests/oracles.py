@@ -125,6 +125,23 @@ def d_coeff(c: CartanA, j: int) -> Fraction:
     return Fraction(-c.d_numerators[j], 2 * c.m)
 
 
+def predicted_C(spec) -> Fraction:
+    """The constant C that verify fits, in closed form from (n, lambda, r):
+    -1/2 sum_k (lambda_k - lambda_{k+1}) |w_{r_1} + ... + w_{r_k}|^2, with
+    lambda_{p+1} = 0 and (w_a, w_b) = min(a, b) - ab/m the pairing of the
+    fundamental weights of sl_m.  One translation per level, as in the
+    nested construction: the delta part of t_beta(l Lambda_0) = l Lambda_0 +
+    l beta - l |beta|^2 delta / 2 (Kac, (6.5.2)).  The formula was found by
+    measurement, not derived, and reads no word of the spec."""
+    m, lam = spec.cartan.m, spec.lam + (0,)
+    total = Fraction(0)
+    for k in range(1, spec.p + 1):
+        beta = spec.r[:k]
+        norm = sum(min(a, b) - Fraction(a * b, m) for a in beta for b in beta)
+        total += (lam[k - 1] - lam[k]) * norm
+    return -total / 2
+
+
 def fundamental_weight(c: CartanA, i: int) -> AffineWeight:
     """Lambda_i."""
     c.check_node(i)

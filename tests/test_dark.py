@@ -22,7 +22,7 @@ from darkc.kr import find_b_rs, generate, parse_tableau, parse_tensor, twist
 from darkc.selftest import grid_specs
 from darkc.weyl import bruhat_lower_interval, kr_translation_data, length, reduced_word
 from oracles import (bfs_close, dark_from_json, delta_weight, fundamental_weight,
-                     i_string_report, sorted_elements)
+                     i_string_report, predicted_C, sorted_elements)
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (the benchmark's ladder and sweep specs)
@@ -467,6 +467,32 @@ def test_closure_walk_matches_the_step_bfs(group, monkeypatch):
         assert dark.depth == max(map(abs, dark.energies.values())), spec
     assert len(rights) == sum(spec.p for spec in specs)  # one closure per level
     assert (_Rows in rights) == (group == "sparse")
+
+
+C_SPECS = {
+    "grid": grid_specs,
+    "ladder": lambda: [workloads.maximal_spec(*case) for case in workloads.LADDER],
+    "long-rows": lambda: [workloads.maximal_spec(n, (s,), (1,)) for n, s in workloads.LONG_ROWS],
+    "sparse": sparse_specs,
+    "sweep": lambda: workloads.sweep_specs(1),
+    "rung": lambda: [workloads.maximal_spec(3, (3, 3, 3), (2, 2, 2))],  # |B| = 125,000
+}
+
+
+@pytest.mark.parametrize("group", sorted(C_SPECS))
+def test_fitted_C_matches_the_closed_form(group):
+    # the fit absorbs any shift of D that is the same for every element; the
+    # closed form pins C, so such a shift cannot pass unseen
+    for spec in C_SPECS[group]():
+        assert verify(spec) == (True, predicted_C(spec)), spec
+
+
+def test_a_constant_shift_of_D_passes_verify_but_not_the_closed_form(monkeypatch):
+    spec = workloads.maximal_spec(*workloads.LADDER[2])  # n = 5, lambda = (2, 2), r = (3, 2)
+    assert verify(spec) == (True, predicted_C(spec))
+    monkeypatch.setattr("darkc.dark.total_D", lambda space, x: total_D(space, x) + 1)
+    ok, shifted = verify(spec)
+    assert ok and shifted != predicted_C(spec)
 
 
 def test_build_fills_each_pair_table_once(monkeypatch):

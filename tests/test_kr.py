@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from darkc import kr
+from darkc import crystal, kr
 from darkc.cartan import CartanA, rotate
 from darkc.crystal import ModelConsistencyError, TensorElt, eps, phi
 from darkc.kr import (RectTableau, find_b_rs, generate, parse_tableau, parse_tensor,
@@ -305,6 +305,30 @@ def test_promotion_arrays_need_no_slides(monkeypatch):
         assert table.stats[i] == want.stats[i]
 
 
+def test_classical_arrays_need_no_rule_call(monkeypatch):
+    # the signature rule is folded over the rows as column passes over all
+    # elements at once; crystal.signature_rule is left to TensorElt
+    wants = [generate(CartanA(n), r, s)[0].table for n, r, s in ((4, 2, 4), (2, 1, 40))]
+    for want in wants:
+        want.stats, want.pr_inv
+
+    def no_rule(pairs):
+        raise AssertionError("a table array called the signature rule")
+
+    monkeypatch.setattr(crystal, "signature_rule", no_rule)
+    monkeypatch.setattr(kr, "signature_rule", no_rule, raising=False)
+    for want in wants:
+        c, (r, s) = want.cartan, want.shape
+        table = kr.KRTable(c, r, s)
+        for i in c.classical_nodes:
+            assert table.cl_e[i] == want.cl_e[i] and table.cl_f[i] == want.cl_f[i]
+        for i in c.nodes:
+            assert table.e[i] == want.e[i] and table.f[i] == want.f[i]
+            assert table.eps[i] == want.eps[i] and table.phi[i] == want.phi[i]
+            assert table.stats[i] == want.stats[i]
+        assert table.pr == want.pr and table.pr_inv == want.pr_inv
+
+
 def test_generate_rows_match_combinations():
     for n in (1, 2, 3):
         c = CartanA(n)
@@ -339,7 +363,7 @@ def test_content_is_a_count_of_the_entries():
 
 
 BEYOND_GRID = ([(1, 1, 300), (2, 1, 40)] + [(3, r, s) for r in (1, 2, 3) for s in range(7)]
-               + [(4, 2, 4)])
+               + [(4, 2, 4), (5, 4, 2), (6, 3, 2), (5, 4, 3)])
 
 
 @pytest.mark.parametrize("n, r, s", BEYOND_GRID)
@@ -434,6 +458,21 @@ def test_interned_tableaux_and_node_range():
                 op(bad)
         with pytest.raises(IndexError):
             TensorElt((T, T)).f(bad)
+
+
+def test_a_fresh_table_interns_its_tableaux(monkeypatch):
+    # with no table interned yet, the first tableau of B^{2,3} builds one
+    monkeypatch.setattr(kr, "_TABLES", {})
+    c = CartanA(3)
+    table = RectTableau(c, ((1, 1, 2), (2, 3, 4))).table
+    assert kr._TABLES == {(3, 2, 3): table}
+    for k, T in enumerate(table.elements):
+        assert T.table is table and T.pos == k and T.cartan is table.cartan
+        assert RectTableau(c, T.rows) is T
+        assert pickle.loads(pickle.dumps(T)) is T
+    for name in ("cartan", "table", "pos"):
+        with pytest.raises(AttributeError):
+            setattr(T, name, None)
 
 
 def test_a_fresh_table_holds_no_rows():

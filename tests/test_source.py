@@ -1,7 +1,8 @@
 """The package holds no code that only the tests use: every module-level
 function and class in src/darkc is referenced there outside its own
-definition, or exported in darkc.__all__.  Oracles and diagnostics that only
-the tests call live in tests/oracles.py."""
+definition, or exported in darkc.__all__, and so is every method other than
+a dunder.  Oracles and diagnostics that only the tests call live in
+tests/oracles.py."""
 
 import ast
 from collections import defaultdict
@@ -12,8 +13,9 @@ import darkc
 
 def _unused_names(src: Path, exported) -> list[str]:
     """module.name of each module-level def or class of the .py files in src
-    that no Name or Attribute outside its own definition refers to, and that
-    is not in exported.  Imports are not references."""
+    that is not in exported, and module.Class.name of each method of those
+    classes other than a dunder, that no Name or Attribute outside its own
+    definition refers to.  Imports are not references."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
     uses = defaultdict(list)
     for tree in trees.values():
@@ -27,9 +29,15 @@ def _unused_names(src: Path, exported) -> list[str]:
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            own = set(map(id, ast.walk(node)))
-            if node.name not in exported and all(id(use) in own for use in uses[node.name]):
-                unused.append(f"{module}.{node.name}")
+            defs = [] if node.name in exported else [(f"{module}.{node.name}", node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{module}.{node.name}.{d.name}", d) for d in node.body
+                         if isinstance(d, ast.FunctionDef)
+                         and not (d.name.startswith("__") and d.name.endswith("__"))]
+            for name, d in defs:
+                own = set(map(id, ast.walk(d)))
+                if all(id(use) in own for use in uses[d.name]):
+                    unused.append(name)
     return unused
 
 
@@ -44,3 +52,13 @@ def test_the_scan_sees_a_name_that_only_its_own_body_uses(tmp_path):
         "class Exported:\n    pass\n")
     (tmp_path / "b.py").write_text("from a import loop, used\n\nX = used()\n")
     assert _unused_names(tmp_path, ["Exported"]) == ["a.loop"]
+
+
+def test_the_scan_sees_a_method_that_nothing_outside_it_calls(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Exported:\n"
+        "    def __init__(self):\n        self.x = 1\n\n"
+        "    def read(self):\n        return self.x\n\n"
+        "    def spare(self, n):\n        return self.spare(n - 1) if n else self.x\n")
+    (tmp_path / "b.py").write_text("from a import Exported\n\nX = Exported().read()\n")
+    assert _unused_names(tmp_path, ["Exported"]) == ["a.Exported.spare"]
