@@ -93,10 +93,6 @@ class AffineWeight(tuple):
     def m(self) -> int:
         return len(self) - 1
 
-    @property
-    def level(self) -> int:
-        return sum(self.lam)
-
     def __add__(self, other: "AffineWeight") -> "AffineWeight":
         if len(self) != len(other):
             raise ValueError("weights of different rank")
@@ -124,10 +120,6 @@ class AffineWeight(tuple):
 
 # An AffineWeight from its integer vector (lam..., d), without validation.
 _vec = partial(tuple.__new__, AffineWeight)
-
-
-def zero_weight(c: CartanA) -> AffineWeight:
-    return _vec((0,) * (c.m + 1))
 
 
 @lru_cache(maxsize=None)
@@ -158,11 +150,6 @@ def rotate(c: CartanA, k: int, mu):
     if len(mu) == c.m:
         return mu[cut:] + mu[:cut]
     return _vec(mu[cut:-1] + mu[:cut] + mu[-1:])
-
-
-def d_pair(c: CartanA, mu: AffineWeight) -> Fraction:
-    """<d, mu> = sum_j lam[j] <d, Lambda_j> + dlt (type A has <d, delta> = 1)."""
-    return Fraction(mu[-1] - sum(map(mul, mu.lam, c.d_numerators)), 2 * c.m)
 
 
 def aff_level_zero(c: CartanA, mu: tuple[int, ...]) -> AffineWeight:

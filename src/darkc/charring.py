@@ -22,8 +22,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import lshift
 
-from .cartan import (AffineWeight, CartanA, _vec, rotate, simple_root, weight_to_json,
-                     zero_weight)
+from .cartan import AffineWeight, CartanA, _vec, rotate, simple_root, weight_to_json
 
 
 class CharPoly:
@@ -49,14 +48,6 @@ class CharPoly:
 
     def __reduce__(self):
         return CharPoly, (self.terms,)
-
-    @classmethod
-    def monomial(cls, mu: AffineWeight, coef: int = 1) -> "CharPoly":
-        return cls({mu: coef})
-
-    @classmethod
-    def one(cls, c: CartanA) -> "CharPoly":
-        return cls.monomial(zero_weight(c))
 
     def __len__(self):
         packed = getattr(self, "_packed", None)

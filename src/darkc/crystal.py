@@ -78,8 +78,8 @@ class TensorElt:
     """Ordered tensor product element; factors share one Cartan datum.
     Factors may themselves be tensor elements.  Like kr.RectTableau, it is
     immutable and hashable, exposes its Cartan datum as `cartan`, and provides
-    e(i) and f(i) (None for 0), stats(i) = (eps_i, phi_i), clweight() (the int
-    tuple of its Lambda coefficients), sort_key() and text()."""
+    e(i) and f(i) (None for 0), stats(i) = (eps_i, phi_i), sort_key() and
+    text()."""
 
     __slots__ = ("factors",)
 
@@ -138,12 +138,6 @@ class TensorElt:
         if b is None:
             raise _dead("f")
         return TensorElt(self.factors[:idx] + (b,) + self.factors[idx + 1:])
-
-    def clweight(self) -> tuple[int, ...]:
-        w = self.factors[0].clweight()
-        for b in self.factors[1:]:
-            w = tuple(map(add, w, b.clweight()))
-        return w
 
     def sort_key(self):
         return tuple(b.sort_key() for b in self.factors)
@@ -253,10 +247,6 @@ class ProductTable:
 
     def __len__(self):
         return len(self.left.elements) * self.width
-
-    def __iter__(self):
-        """Every code, in canonical order."""
-        return iter(range(len(self)))
 
     def lowering(self, i: int):
         """x -> f_i x, or None: the left factor moves if p1 > e2, else right if p2 > 0."""

@@ -262,13 +262,6 @@ def verify_detail(spec: DarkSpec):
     return ok, shift, lhs, rhs
 
 
-def typeA_rows(n: int, lam, classical_words) -> DarkSet:
-    """The all-rows instantiation: r = (1, ..., 1) and arbitrary classical
-    words, carried as prefixes with empty Bruhat-constrained parts."""
-    words = tuple(FactorWord(tuple(w), ()) for w in classical_words)
-    return build(make_spec(n, lam, r=(1,) * len(lam), words=words))
-
-
 def full_tensor(spec: DarkSpec) -> frozenset:
     """Every element of the ambient tensor product of the spec's factors."""
     c = spec.cartan

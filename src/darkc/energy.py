@@ -15,7 +15,7 @@ classical component (Shimozono 2002):
 
 Pairs are raised and lowered on int codes by the steps of
 `crystal.ProductTable`, as `dark.build` closes its sets, and `total_D` takes
-such a code.  `comb_R` and `local_H` convert tensor elements at the boundary.
+such a code.  `comb_R` converts tensor elements at the boundary.
 The independent oracle `selftest.EnergyOracle` fills whole tables by
 breadth-first propagation of H over the arrays of `crystal.ProductTable`,
 the rule in its row shape, sharing no tensor-rule code with these steps.
@@ -48,6 +48,9 @@ class EnergyTable:
         right = generate(c, *shape_right)[0].table
         self.pair = ProductTable(left, right)
         self.swapped = ProductTable(right, left)
+        # the steps of entry's walks, made once per table
+        self.ups = [(i, self.pair.raising(i)) for i in c.classical_nodes]
+        self.downs = {i: self.swapped.lowering(i) for i in c.classical_nodes}
         highest = self._hw_by_weight(self.pair)
         swapped = self._hw_by_weight(self.swapped)
         if set(highest) != set(swapped):
@@ -84,9 +87,8 @@ class EnergyTable:
         if key not in self.H:
             n = self.pair.width
             x, steps = a * n + b, []
-            ups = [(i, self.pair.raising(i)) for i in self.cartan.classical_nodes]
             while (pair := divmod(x, n)) not in self.H:
-                for i, up in ups:
+                for i, up in self.ups:
                     y = up(x)
                     if y is not None:
                         steps.append((pair, i))
@@ -98,7 +100,7 @@ class EnergyTable:
             n = self.swapped.width
             img = ra * n + rb
             for pair, i in reversed(steps):
-                img = self.swapped.lowering(i)(img)
+                img = self.downs[i](img)
                 if img is None:
                     raise ModelConsistencyError("R transport left the crystal")
                 self.R[pair] = divmod(img, n)
@@ -120,22 +122,14 @@ def energy_table(c: CartanA, shape_left, shape_right) -> EnergyTable:
     return _TABLES[key]
 
 
-def _pair_entry(x: TensorElt) -> tuple[EnergyTable, tuple[tuple[int, int], int]]:
+def comb_R(x: TensorElt) -> TensorElt:
+    """The combinatorial R-matrix image in the swapped product."""
     if len(x.factors) != 2:
         raise ValueError("expected a two-factor tensor element")
     a, b = x.factors
     table = energy_table(x.cartan, a.shape, b.shape)
-    return table, table.entry(a.pos, b.pos)
-
-
-def comb_R(x: TensorElt) -> TensorElt:
-    """The combinatorial R-matrix image in the swapped product."""
-    table, (img, _) = _pair_entry(x)
+    img = table.entry(a.pos, b.pos)[0]
     return TensorElt(t.elements[k] for t, k in zip(table.swapped.tables, img))
-
-
-def local_H(x: TensorElt) -> int:
-    return _pair_entry(x)[1][1]
 
 
 def pair_energies(space: ProductTable, x: int) -> list[tuple[int, int, int]]:

@@ -47,8 +47,8 @@ class RectTableau:
         _check_rows(cartan, rows)
         table = _table(cartan, len(rows), len(rows[0]))
         letters = range(1, cartan.m + 1)
-        key = tuple(row.count(v) for row in rows for v in letters)
-        return table.elements[table.index[key]]
+        counts = (row.count(v) for row in rows for v in letters)
+        return table.elements[table.index[sum(map(mul, counts, table.powers))]]
 
     def __setattr__(self, name, value):
         raise AttributeError("RectTableau is immutable")
@@ -67,9 +67,6 @@ class RectTableau:
     def content(self) -> tuple[int, ...]:
         cs, m = self.table.contents[self.pos], self.cartan.m
         return tuple(sum(cs[v::m]) for v in range(m))
-
-    def clweight(self) -> tuple[int, ...]:
-        return self.table.wt[self.pos]
 
     def e(self, i):
         k = self.table.e[i][self.pos]
@@ -181,8 +178,10 @@ class _ByNode(dict):
 class KRTable:
     """B^{r,s} enumerated once.  `elements` holds the interned tableaux in
     canonical order, `contents` their joined row contents (top row first,
-    see _contents) and `index` maps those to their position.  The arrays over
-    positions are built on first use:
+    see _contents), and `index` maps the key of each, the int with those
+    counts as digits base s+1 (digit t has the weight powers[t]), to its
+    position, keys in position order.  The arrays over positions are built on
+    first use:
 
     - cl_e[i][k], cl_f[i][k]: for classical i, the position of e_i / f_i of
       element k, or -1, both from the signature rule over its rows, folded
@@ -201,7 +200,8 @@ class KRTable:
         self.shape = (r, s)
         self.name = f"B^{{{r},{s}}}"
         self.contents = _contents(c.m, r, s)
-        self.index = {cs: k for k, cs in enumerate(self.contents)}
+        self.powers = powers = [(s + 1) ** t for t in range(r * c.m)]
+        self.index = {sum(map(mul, cs, powers)): k for k, cs in enumerate(self.contents)}
         size = len(self.contents)
         self.elements = tuple(map(object.__new__, repeat(RectTableau, size)))
         # the slot descriptors fill the slots past RectTableau.__setattr__
@@ -309,13 +309,12 @@ class KRTable:
         of its eps_i and phi_i.  Row 0 starts the state; each further row is
         folded into all elements at once, as crystal.signature_rule folds one
         element's pairs.  e_i turns one i+1 of the chosen row into i, f_i one i
-        into i+1.  Contents are read as the digits of an int key base s+1, so a
-        move is one addition to the key (None for no move; every move is 0 at
-        s = 0), looked up among the keys of `index` in one pass per node."""
-        m, (r, s), contents, size = self.cartan.m, self.shape, self.contents, len(self.contents)
-        powers = [(s + 1) ** t for t in range(r * m)]
-        keys = [sum(map(mul, cs, powers)) for cs in contents]
-        index = {keys[k]: k for k in self.index.values()}
+        into i+1.  A move is one addition to the key of the contents (None for
+        no move; every move is 0 at s = 0), looked up in `index` in one pass
+        per node."""
+        m, r, contents, size = self.cartan.m, self.shape[0], self.contents, len(self.contents)
+        powers, index = self.powers, self.index
+        keys = list(index)
         e, f, eps, phi = arrays = _ByNode(), _ByNode(), _ByNode(), _ByNode()
         try:
             for i in self.cartan.classical_nodes:

@@ -43,11 +43,6 @@ class ExtAffPerm:
     def shift(self) -> int:
         return sum(self.win) - self.m * (self.m + 1) // 2
 
-    @property
-    def sigma_class(self) -> int:
-        """Dynkin rotation amount of the Sigma part."""
-        return (self.shift // self.m) % self.m
-
     def apply(self, j: int) -> int:
         j0 = (j - 1) % self.m + 1
         return self.win[j0 - 1] + (j - j0)
@@ -90,11 +85,6 @@ def _descent(win: tuple[int, ...], i: int) -> bool:
 
 def _descents(win: tuple[int, ...]) -> list[int]:
     return [i for i in range(len(win)) if _descent(win, i)]
-
-
-def rot(m: int, k: int = 1) -> ExtAffPerm:
-    """The window-shift generator pi^k of Sigma, i |-> i + k."""
-    return ExtAffPerm(tuple(i + k for i in range(1, m + 1)))
 
 
 def _word_window(m: int, letters) -> tuple[tuple[int, ...], bool]:
@@ -148,22 +138,6 @@ def reduce_to_weyl(w: ExtAffPerm) -> ExtAffPerm:
     return ExtAffPerm(tuple(v - j * w.m for v in w.win)) if j else w
 
 
-def eq_mod_center(a: ExtAffPerm, b: ExtAffPerm) -> bool:
-    d = a * b.inverse()
-    offs = {d.win[i] - (i + 1) for i in range(d.m)}
-    return len(offs) == 1 and next(iter(offs)) % d.m == 0
-
-
-def factor_sigma(w: ExtAffPerm) -> tuple[ExtAffPerm, int]:
-    """Factor w = y * pi^k modulo the center, y in W, k the rotation class."""
-    m = w.m
-    k = w.sigma_class
-    y = reduce_to_weyl(w * rot(m, -k))
-    if not eq_mod_center(y * rot(m, k), w):
-        raise AssertionError("factor_sigma recomposition failed")
-    return y, k
-
-
 def reduced_word(w: ExtAffPerm) -> tuple[int, ...]:
     """One reduced word, by greedy left-descent removal (smallest node first),
     run on the inverse window: s_i * w has the inverse window of w^-1 * s_i."""
@@ -204,20 +178,13 @@ def bruhat_lower_interval(y: ExtAffPerm) -> frozenset[ExtAffPerm]:
     return _lower_interval(reduce_to_weyl(y).win)
 
 
-def bruhat_leq(w: ExtAffPerm, y: ExtAffPerm) -> bool:
-    w = reduce_to_weyl(w)
-    y = reduce_to_weyl(y)
-    if length(w) > length(y):
-        return False
-    return w in bruhat_lower_interval(y)
-
-
 def kr_translation_data(c: CartanA, r: int) -> tuple[ExtAffPerm, int]:
-    """(y_r, tau_r): factor_sigma of the translation by the longest-element
-    image of the r-th level-zero fundamental weight (integer lift: 1 in the
-    last r slots), in closed form: y_r has the window (m-r+1, ..., m, 1, ...,
-    m-r) and tau_r = r.  The tests check it against factor_sigma, and pin the
-    sign of the lift: tau_1 is the rotation j -> j + 1, and the closure of
-    {b^{r,s}} along y_r fills all of B^{r,s}."""
+    """(y_r, tau_r): the factorization y_r * pi^tau_r, modulo the center, of
+    the translation by the longest-element image of the r-th level-zero
+    fundamental weight (integer lift: 1 in the last r slots), in closed form:
+    y_r has the window (m-r+1, ..., m, 1, ..., m-r) and tau_r = r.  The tests
+    check it against a factorization of the translation itself
+    (tests/oracles.py), and pin the sign of the lift: tau_1 is the rotation
+    j -> j + 1, and the closure of {b^{r,s}} along y_r fills all of B^{r,s}."""
     c.check_classical(r)
     return ExtAffPerm(tuple(range(c.m - r + 1, c.m + 1)) + tuple(range(1, c.m - r + 1))), r

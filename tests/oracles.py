@@ -1,8 +1,10 @@
 """Reference implementations that only the tests use: walks on the tableau
-itself, diagnostics, and the JSON readers.  The package computes the same
-things from its tables; the tests compare the two."""
+itself, the Sigma factorization and Bruhat test of the Weyl group, the d
+pairing and classical weights, diagnostics, and the JSON readers.  The
+package computes the same things from its tables; the tests compare the two."""
 
 from fractions import Fraction
+from operator import mul
 
 from darkc.cartan import AffineWeight, CartanA, _vec
 from darkc.charring import CharPoly
@@ -10,7 +12,8 @@ from darkc.crystal import ProductTable, TensorElt
 from darkc.dark import DarkSet, make_spec
 from darkc.energy import total_D
 from darkc.kr import RectTableau, find_b_rs, parse_tableau
-from darkc.weyl import ExtAffPerm, _descents, from_word
+from darkc.weyl import (ExtAffPerm, _descents, bruhat_lower_interval, from_word, length,
+                        reduce_to_weyl)
 
 
 def _unmatched(rows, i: int):
@@ -101,6 +104,41 @@ def simple(m: int, i: int) -> ExtAffPerm:
     return from_word(m, (i,))
 
 
+def rot(m: int, k: int = 1) -> ExtAffPerm:
+    """The window-shift generator pi^k of Sigma, i |-> i + k."""
+    return ExtAffPerm(tuple(i + k for i in range(1, m + 1)))
+
+
+def sigma_class(w: ExtAffPerm) -> int:
+    """Dynkin rotation amount of the Sigma part of w."""
+    return (w.shift // w.m) % w.m
+
+
+def eq_mod_center(a: ExtAffPerm, b: ExtAffPerm) -> bool:
+    d = a * b.inverse()
+    offs = {d.win[i] - (i + 1) for i in range(d.m)}
+    return len(offs) == 1 and next(iter(offs)) % d.m == 0
+
+
+def factor_sigma(w: ExtAffPerm) -> tuple[ExtAffPerm, int]:
+    """Factor w = y * pi^k modulo the center, y in W, k the rotation class:
+    the oracle for the closed form of `weyl.kr_translation_data`."""
+    m = w.m
+    k = sigma_class(w)
+    y = reduce_to_weyl(w * rot(m, -k))
+    if not eq_mod_center(y * rot(m, k), w):
+        raise AssertionError("factor_sigma recomposition failed")
+    return y, k
+
+
+def bruhat_leq(w: ExtAffPerm, y: ExtAffPerm) -> bool:
+    w = reduce_to_weyl(w)
+    y = reduce_to_weyl(y)
+    if length(w) > length(y):
+        return False
+    return w in bruhat_lower_interval(y)
+
+
 def translation(c: CartanA, a) -> ExtAffPerm:
     """t_a for an integer vector a of length m: f(i) = i + m * a_i on the window."""
     a = tuple(int(v) for v in a)
@@ -140,6 +178,19 @@ def predicted_C(spec) -> Fraction:
         norm = sum(min(a, b) - Fraction(a * b, m) for a in beta for b in beta)
         total += (lam[k - 1] - lam[k]) * norm
     return -total / 2
+
+
+def d_pair(c: CartanA, mu: AffineWeight) -> Fraction:
+    """<d, mu> = sum_j lam[j] <d, Lambda_j> + dlt (type A has <d, delta> = 1)."""
+    return Fraction(mu[-1] - sum(map(mul, mu.lam, c.d_numerators)), 2 * c.m)
+
+
+def clweight(b) -> tuple[int, ...]:
+    """The classical weight of a tableau, or of a tensor as the sum over its
+    factors: the int tuple of its Lambda coefficients."""
+    if isinstance(b, TensorElt):
+        return tuple(map(sum, zip(*map(clweight, b.factors))))
+    return b.table.wt[b.pos]
 
 
 def fundamental_weight(c: CartanA, i: int) -> AffineWeight:

@@ -216,8 +216,8 @@ def test_verify_failure_diff_smoke(monkeypatch, capsys):
     real = cli.verify_detail
 
     def fake(spec):
-        lhs = CharPoly.monomial(AffineWeight((1, 0)))
-        rhs = CharPoly.monomial(AffineWeight((0, 1)))
+        lhs = CharPoly({AffineWeight((1, 0)): 1})
+        rhs = CharPoly({AffineWeight((0, 1)): 1})
         return False, None, lhs, rhs
 
     monkeypatch.setattr(cli, "verify_detail", fake)

@@ -9,6 +9,7 @@ from darkc.crystal import (EAGER_ROWS, ModelConsistencyError, ProductTable, Tens
                            graph_dot, graph_json, phi)
 from darkc.kr import KRTable, generate, parse_tableau
 from darkc.selftest import _axiom_families
+from oracles import clweight
 
 
 def elt(n, text):
@@ -31,7 +32,7 @@ def test_stats_example():
     b = elt(1, "1")
     assert b.stats(0) == (1, 0)
     assert b.stats(1) == (0, 1)
-    assert b.clweight() == (-1, 1)
+    assert clweight(b) == (-1, 1)
 
 
 def test_weight_step_under_operators():
@@ -40,7 +41,7 @@ def test_weight_step_under_operators():
         for i in c.nodes:
             down = T.f(i)
             if down is not None:
-                assert tuple(map(sub, T.clweight(), down.clweight())) == cl_simple_root(c, i)
+                assert tuple(map(sub, clweight(T), clweight(down))) == cl_simple_root(c, i)
 
 
 def test_tensor_stats_match_two_factor_formula():
@@ -153,10 +154,10 @@ def test_codes_match_tensor_elements():
         space = _codes(space)
         rows = [_node(space, i) for i in c.nodes]
         right = space.right.wt
-        for x in space:
+        for x in range(len(space)):
             b = space.element(x)
             a, k = divmod(x, space.width)
-            assert tuple(map(add, space.left.wt[a], right[k])) == b.clweight()
+            assert tuple(map(add, space.left.wt[a], right[k])) == clweight(b)
             for i in c.nodes:
                 moved = (None if y is None else space.code(y) for y in (b.e(i), b.f(i)))
                 assert rows[i](x) == b.stats(i) + tuple(moved), (b, i)
@@ -182,7 +183,7 @@ def test_product_tables_match_codes():
     for c, space in _axiom_families():
         codes = _codes(space, eager_rows=0)
         tables = codes.tables
-        assert list(codes) == list(range(len(space.wt)))
+        assert len(codes) == len(space.wt)
         if len(tables) == 3:
             lazy, pair = codes.right, space.right
             assert not isinstance(lazy, ProductTable)
@@ -190,7 +191,7 @@ def test_product_tables_match_codes():
                 assert lazy.wt[x] == pair.wt[x]
                 assert [power[x] for power in lazy.pr_powers] == \
                     [power[x] for power in pair.pr_powers]
-        for x in codes:
+        for x in range(len(codes)):
             factors = codes.factors(x)
             assert _encode(tables, factors) == x
             b = codes.element(x)
@@ -203,7 +204,7 @@ def test_product_tables_match_codes():
                 assert space.element(x) == b
         for i in c.nodes:
             node = _node(codes, i)
-            for x in codes:
+            for x in range(len(codes)):
                 ep, ph, up, down = node(x)
                 assert (space.stats[i][x], space.e[i][x], space.f[i][x]) == \
                     ((ep, ph), -1 if up is None else up, -1 if down is None else down), \
@@ -291,7 +292,7 @@ def test_classical_highest_path():
 
 def test_graph_exports_golden():
     space = ProductTable.of((generate(CartanA(1), 1, 1)[0].table,))
-    codes = set(space)
+    codes = set(range(len(space)))
     assert graph_dot(space, codes) == (
         'digraph crystal {\n'
         '  rankdir=LR;\n'

@@ -13,7 +13,7 @@ from darkc.cartan import CartanA
 from darkc.crystal import (Memo, ModelConsistencyError, ProductTable, TensorElt, _Rows,
                            demazure_closure)
 from darkc.dark import (DarkSet, DarkSpec, FactorWord, _close, build, dark_to_json,
-                        full_tensor, lhs_character, make_spec, typeA_rows, verify,
+                        full_tensor, lhs_character, make_spec, verify,
                         verify_detail, well_definedness_check)
 from darkc.charring import CharPoly, char_to_json
 from darkc.cartan import AffineWeight, aff_level_zero
@@ -98,11 +98,11 @@ def test_well_definedness_examples():
 def test_lhs_character_examples():
     spec = make_spec(1, (1,), words=[()])
     f = lhs_character(spec, build(spec))
-    assert f == CharPoly.monomial(AffineWeight((0, 1), Fraction(1, 4)))
+    assert f == CharPoly({AffineWeight((0, 1), Fraction(1, 4)): 1})
     spec = make_spec(1, (1,), words=[(1,)])
     f = lhs_character(spec, build(spec))
-    assert f == CharPoly.monomial(AffineWeight((0, 1), Fraction(1, 4))) + \
-        CharPoly.monomial(AffineWeight((2, -1), Fraction(-1, 4)))
+    assert f == CharPoly({AffineWeight((0, 1), Fraction(1, 4)): 1}) + \
+        CharPoly({AffineWeight((2, -1), Fraction(-1, 4)): 1})
 
 
 def test_verify_anchor_values():
@@ -140,16 +140,22 @@ def test_verify_beyond_the_grid():
     assert ok and shift == Fraction(-11, 3)
 
 
+def rows_set(n, lam, classical_words):
+    """The all-rows instantiation: r = (1, ..., 1), classical words as prefixes."""
+    return build(make_spec(n, lam, r=(1,) * len(lam),
+                           words=[FactorWord(w, ()) for w in classical_words]))
+
+
 def test_type_a_rows():
-    dark = typeA_rows(2, (2, 1), [(), ()])
+    dark = rows_set(2, (2, 1), [(), ()])
     assert texts(dark) == ["11|2"]
-    dark = typeA_rows(1, (1, 1), [(1,), (1,)])
+    dark = rows_set(1, (1, 1), [(1,), (1,)])
     spec = dark.spec
     assert build(spec).elements == dark.elements == full_tensor(spec)
     ok, _ = verify(spec)
     assert ok
     # maximal classical words still verify
-    ok, _ = verify(typeA_rows(2, (2, 1), [(1, 2, 1), (1, 2, 1)]).spec)
+    ok, _ = verify(rows_set(2, (2, 1), [(1, 2, 1), (1, 2, 1)]).spec)
     assert ok
 
 

@@ -6,7 +6,7 @@ import pytest
 from darkc import energy
 from darkc.cartan import CartanA
 from darkc.crystal import ProductTable, TensorElt, classical_highest_path
-from darkc.energy import comb_R, local_H
+from darkc.energy import comb_R
 from darkc.kr import find_b_rs, generate, parse_tableau, parse_tensor
 from darkc.selftest import AXIOM_RANKS, PRODUCT_CAP, EnergyOracle, single_shapes
 
@@ -17,6 +17,12 @@ def elt(n, text, r=None):
 
 def tensor(n, *texts):
     return TensorElt(tuple(elt(n, t) for t in texts))
+
+
+def local_H(x):
+    """H of a two-factor tensor element, read off its pair's energy table."""
+    a, b = x.factors
+    return energy.energy_table(x.cartan, a.shape, b.shape).entry(a.pos, b.pos)[1]
 
 
 def total_D(b):
@@ -211,5 +217,5 @@ def test_total_d_computes_only_the_pairs_it_needs(monkeypatch):
 
 def test_pair_table_requires_two_factors():
     with pytest.raises(ValueError):
-        local_H(TensorElt((elt(1, "1"),)))
+        comb_R(TensorElt((elt(1, "1"),)))
     assert parse_tensor(CartanA(1), "1|2").factors[1].text() == "2"

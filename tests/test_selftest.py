@@ -25,7 +25,7 @@ def test_code_criteria_build_no_tensor_or_weight_objects(monkeypatch):
         _init(self, *args, **kwargs)
     monkeypatch.setattr(TensorElt, "__init__", counting)
     assert criterion_axioms() == "370 crystals, 69563 elements"
-    assert _tensor_twists() == 69563 - 157  # every element but the 157 tableaux
+    assert _tensor_twists() == 69563  # every element, the 157 tableaux included
     monkeypatch.undo()
     assert made == Counter()
 
@@ -41,7 +41,7 @@ def test_a_broken_arrow_fails_both_code_criteria(monkeypatch):
     oracle = EnergyOracle(ProductTable(left, table), ProductTable(table, left))
     _check_pair_energy(c, (1, 1), (1, 2))  # fills the R/H tables of the pair
     broken = list(table.f[1])
-    broken[table.index[(2, 0, 0)]] = table.index[(1, 0, 1)]  # row contents
+    broken[table.index[2]] = table.index[1 + 9]  # row contents (2, 0, 0), (1, 0, 1) base 3
     monkeypatch.setitem(table.f, 1, broken)
     with pytest.raises(CheckFailure, match=r"e_i f_i != id at TensorElt.*'11'.*i=1"):
         criterion_axioms()

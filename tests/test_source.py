@@ -1,8 +1,8 @@
 """The package holds no code that only the tests use: every module-level
 function and class in src/darkc is referenced there outside its own
 definition, or exported in darkc.__all__, and so is every method other than
-a dunder.  Oracles and diagnostics that only the tests call live in
-tests/oracles.py."""
+a dunder, as an attribute.  Oracles and diagnostics that only the tests call
+live in tests/oracles.py.  Every name in darkc.__all__ is importable."""
 
 import ast
 from collections import defaultdict
@@ -13,36 +13,44 @@ import darkc
 
 def _unused_names(src: Path, exported) -> list[str]:
     """module.name of each module-level def or class of the .py files in src
-    that is not in exported, and module.Class.name of each method of those
-    classes other than a dunder, that no Name or Attribute outside its own
-    definition refers to.  Imports are not references."""
+    that is not in exported and that no Name or Attribute outside its own
+    definition refers to, and module.Class.name of each method of those
+    classes other than a dunder that no Attribute outside its own definition
+    refers to: a bare Name is a local variable or a module-level function,
+    never a method.  Imports are not references."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    uses = defaultdict(list)
+    names, attributes = defaultdict(list), defaultdict(list)
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                uses[node.id].append(node)
+                names[node.id].append(node)
             elif isinstance(node, ast.Attribute):
-                uses[node.attr].append(node)
+                attributes[node.attr].append(node)
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            defs = [] if node.name in exported else [(f"{module}.{node.name}", node)]
+            defs = [] if node.name in exported else [
+                (f"{module}.{node.name}", node, names[node.name] + attributes[node.name])]
             if isinstance(node, ast.ClassDef):
-                defs += [(f"{module}.{node.name}.{d.name}", d) for d in node.body
-                         if isinstance(d, ast.FunctionDef)
+                defs += [(f"{module}.{node.name}.{d.name}", d, attributes[d.name])
+                         for d in node.body if isinstance(d, ast.FunctionDef)
                          and not (d.name.startswith("__") and d.name.endswith("__"))]
-            for name, d in defs:
+            for name, d, uses in defs:
                 own = set(map(id, ast.walk(d)))
-                if all(id(use) in own for use in uses[d.name]):
+                if all(id(use) in own for use in uses):
                     unused.append(name)
     return unused
 
 
 def test_every_module_level_name_is_used_in_src_or_exported():
     assert _unused_names(Path(darkc.__file__).resolve().parent, darkc.__all__) == []
+
+
+def test_every_exported_name_is_defined():
+    # a name left in __all__ after its import went breaks `from darkc import *`
+    assert [name for name in darkc.__all__ if not hasattr(darkc, name)] == []
 
 
 def test_the_scan_sees_a_name_that_only_its_own_body_uses(tmp_path):
@@ -62,3 +70,13 @@ def test_the_scan_sees_a_method_that_nothing_outside_it_calls(tmp_path):
         "    def spare(self, n):\n        return self.spare(n - 1) if n else self.x\n")
     (tmp_path / "b.py").write_text("from a import Exported\n\nX = Exported().read()\n")
     assert _unused_names(tmp_path, ["Exported"]) == ["a.Exported.spare"]
+
+
+def test_a_local_variable_is_no_use_of_a_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Exported:\n"
+        "    def one(self):\n        return 1\n\n"
+        "    def level(self):\n        return 0\n\n\n"
+        "def used():\n    one = 1\n    return one + Exported().level()\n")
+    (tmp_path / "b.py").write_text("from a import used\n\nX = used()\n")
+    assert _unused_names(tmp_path, ["Exported"]) == ["a.Exported.one"]

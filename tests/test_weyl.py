@@ -9,11 +9,11 @@ import pytest
 from darkc import selftest
 from darkc.cartan import CartanA
 from darkc.dark import make_spec, validate
-from darkc.weyl import (ExtAffPerm, all_reduced_words, bruhat_leq,
-                        bruhat_lower_interval, eq_mod_center, factor_sigma,
-                        from_reduced_word, from_word, identity,
-                        kr_translation_data, length, reduced_word, reduce_to_weyl, rot)
-from oracles import left_descents, simple, translation
+from darkc.weyl import (ExtAffPerm, all_reduced_words, bruhat_lower_interval,
+                        from_reduced_word, from_word, identity, kr_translation_data, length,
+                        reduced_word, reduce_to_weyl)
+from oracles import (bruhat_leq, eq_mod_center, factor_sigma, left_descents, rot, simple,
+                     translation)
 
 
 def test_window_validation():
