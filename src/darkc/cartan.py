@@ -111,9 +111,6 @@ class AffineWeight(tuple):
 
     __rmul__ = __mul__
 
-    def sort_key(self):
-        return (self.lam, self[-1])
-
     def __repr__(self):
         return f"AffineWeight({self.lam}, {self.dlt})"
 

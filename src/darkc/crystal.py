@@ -13,8 +13,9 @@ A tensor product of KR crystals is held two ways, one for each job:
   8) and the energy oracle.  A large P is read row by row as a set reaches
   it, so a sparse set does not pay for the whole product.
 
-The distinguished zero of a crystal is represented by None: crystal operators
-return None when they annihilate an element, and never raise.
+The distinguished zero of a crystal is None for an element object and -1 for
+a code, in the steps and the arrays alike: crystal operators return it when
+they annihilate an element, and never raise.
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ class TensorElt:
     """Ordered tensor product element; factors share one Cartan datum.
     Factors may themselves be tensor elements.  Like kr.RectTableau, it is
     immutable and hashable, exposes its Cartan datum as `cartan`, and provides
-    e(i) and f(i) (None for 0), stats(i) = (eps_i, phi_i), sort_key() and
-    text()."""
+    e(i) and f(i) (None for 0), stats(i) = (eps_i, phi_i) and text()."""
 
     __slots__ = ("factors",)
 
@@ -139,9 +139,6 @@ class TensorElt:
             raise _dead("f")
         return TensorElt(self.factors[:idx] + (b,) + self.factors[idx + 1:])
 
-    def sort_key(self):
-        return tuple(b.sort_key() for b in self.factors)
-
     def text(self) -> str:
         return "|".join(b.text() for b in self.factors)
 
@@ -170,14 +167,6 @@ class Memo(dict):
         return v
 
 
-def _arrow(step):
-    """A ProductTable step as an array fill: -1 where it returns None."""
-    def fill(x):
-        y = step(x)
-        return -1 if y is None else y
-    return fill
-
-
 class _Rows:
     """A ProductTable read as a table through its steps: stats[i][x], e[i][x]
     and f[i][x] (-1 for 0), wt[x] and pr_powers[k][x], each worked out at the
@@ -190,8 +179,8 @@ class _Rows:
         nodes = left.cartan.nodes
         self.tables = space.tables
         self.stats = [Memo(space.eps_phi(i)) for i in nodes]
-        self.e = [Memo(_arrow(space.raising(i))) for i in nodes]
-        self.f = [Memo(_arrow(space.lowering(i))) for i in nodes]
+        self.e = [Memo(space.raising(i)) for i in nodes]
+        self.f = [Memo(space.lowering(i)) for i in nodes]
         self.wt = Memo(lambda x: tuple(map(add, left.wt[x // n], right.wt[x % n])))
         self.pr_powers = [Memo(lambda x, u=u, v=v: u[x // n] * n + v[x % n])
                           for u, v in zip(left.pr_powers, right.pr_powers)]
@@ -249,7 +238,7 @@ class ProductTable:
         return len(self.left.elements) * self.width
 
     def lowering(self, i: int):
-        """x -> f_i x, or None: the left factor moves if p1 > e2, else right if p2 > 0."""
+        """x -> f_i x, or -1: the left factor moves if p1 > e2, else right if p2 > 0."""
         s1, d1 = self.left.stats[i], self.left.f[i]
         s2, d2, n = self.right.stats[i], self.right.f[i], self.width
 
@@ -266,7 +255,7 @@ class ProductTable:
                 if y < 0:
                     raise _dead("f")
                 return x - c + y
-            return None
+            return -1
         return step
 
     def close(self, i: int, energies: dict, walk) -> None:
@@ -299,7 +288,7 @@ class ProductTable:
                 energies[y] = d if i else walk(y)
 
     def raising(self, i: int):
-        """x -> e_i x, or None: right moves if e2 > p1, else the left factor if e1 > 0."""
+        """x -> e_i x, or -1: right moves if e2 > p1, else the left factor if e1 > 0."""
         s1, u1 = self.left.stats[i], self.left.e[i]
         s2, u2, n = self.right.stats[i], self.right.e[i], self.width
 
@@ -316,7 +305,7 @@ class ProductTable:
                 if y < 0:
                     raise _dead("e")
                 return y * n + c
-            return None
+            return -1
         return step
 
     def eps_phi(self, i: int):

@@ -1,8 +1,9 @@
 """Combinatorial R-matrix and energy on tensor products of KR crystals.
 
-R and H are keyed by the pair (a, b) of table positions, and computed per
-pair on first lookup from the classical highest element u of the pair's
-classical component (Shimozono 2002):
+R and H are keyed by the code x = a*len(B2) + b of the pair (a, b) of table
+positions in B1 (x) B2, and computed per pair on first lookup from the
+classical highest element u of the pair's classical component (Shimozono
+2002):
 
 - R is the unique classical isomorphism.  It sends u to the highest element
   of the same weight in the swapped product (products of two rectangles are
@@ -13,10 +14,11 @@ classical component (Shimozono 2002):
   max(r, r')) for rectangles with r and r' rows.  So H = 0 on the pair of
   classical highest elements.
 
-Pairs are raised and lowered on int codes by the steps of
-`crystal.ProductTable`, as `dark.build` closes its sets, and `total_D` takes
-such a code.  `comb_R` converts tensor elements at the boundary.
-The independent oracle `selftest.EnergyOracle` fills whole tables by
+Pairs are raised and lowered on their codes by the steps of
+`crystal.ProductTable`, as `dark.build` closes its sets, and R's values are
+codes of the swapped pair; `total_D` takes a code of a whole product.
+`comb_R` converts tensor elements at the boundary.  The independent oracle
+`selftest.EnergyOracle` fills whole tables, lists over the same codes, by
 breadth-first propagation of H over the arrays of `crystal.ProductTable`,
 the rule in its row shape, sharing no tensor-rule code with these steps.
 """
@@ -33,17 +35,14 @@ _TABLES: dict = {}
 
 
 class EnergyTable:
-    """R and H for one ordered pair of rectangle crystals, keyed by the pair
-    (a, b) of positions in their tables; R's values are position pairs in the
-    swapped product.  R and H hold the entries known so far: the classical
-    highest elements from construction, and every pair a lookup has passed
-    through since."""
+    """R and H for one ordered pair of rectangle crystals, keyed by the codes
+    of `pair`; R's values are codes of `swapped`, the swapped product.  R and
+    H hold the entries known so far: the classical highest elements from
+    construction, and every pair a lookup has passed through since."""
 
     def __init__(self, c: CartanA, shape_left: tuple[int, int],
                  shape_right: tuple[int, int]):
         self.cartan = c
-        self.shape_left = shape_left
-        self.shape_right = shape_right
         left = generate(c, *shape_left)[0].table
         right = generate(c, *shape_right)[0].table
         self.pair = ProductTable(left, right)
@@ -56,20 +55,20 @@ class EnergyTable:
         if set(highest) != set(swapped):
             raise ModelConsistencyError("highest weights of swapped pair differ")
         rows = max(shape_left[0], shape_right[0])
-        self.R = {(0, u): (0, swapped[w]) for w, u in highest.items()}
-        self.H = {(0, u): -sum(_content(self.pair, u)[rows:]) for u in highest.values()}
+        self.R = {u: swapped[w] for w, u in highest.items()}
+        self.H = {u: -sum(_content(self.pair, u)[rows:]) for u in highest.values()}
 
     def _hw_by_weight(self, space: ProductTable) -> dict:
         """Classical highest elements of a pair by weight, as codes.  Their
         left factor is the highest element of its table, position 0 (contents
         sort with more 1s first, so its row a holds only a+1): its '-' signs
-        come first, so nothing can cancel them, and only the codes b of the
-        pairs (0, b) are scanned."""
+        come first, so nothing can cancel them, and only the pairs (0, b),
+        whose code is b, are scanned."""
         ups = [space.raising(i) for i in self.cartan.classical_nodes]
         top = space.left.wt[0]
         out = {}
         for b, v in enumerate(space.right.wt):
-            if all(up(b) is None for up in ups):
+            if all(up(b) < 0 for up in ups):
                 w = tuple(map(add, top, v))
                 if w in out:
                     raise ModelConsistencyError(
@@ -77,35 +76,30 @@ class EnergyTable:
                 out[w] = b
         return out
 
-    def entry(self, a: int, b: int) -> tuple[tuple[int, int], int]:
-        """(R(a (x) b) as a position pair, H(a (x) b)).  A new pair is raised
-        along classical nodes, smallest index first, until it meets a known
-        entry; R is carried back down the same word and H is copied, which
-        sets the entry of every pair on the way.  The walk runs on the codes
-        of the pair and of the swapped pair."""
-        key = (a, b)
-        if key not in self.H:
-            n = self.pair.width
-            x, steps = a * n + b, []
-            while (pair := divmod(x, n)) not in self.H:
+    def entry(self, x: int) -> tuple[int, int]:
+        """(R(x) as a code of swapped, H(x)) for the code x of a pair.  A new
+        pair is raised along classical nodes, smallest index first, until it
+        meets a known entry; R is carried back down the same word and H is
+        copied, which sets the entry of every pair on the way."""
+        if x not in self.H:
+            y, steps = x, []
+            while y not in self.H:
                 for i, up in self.ups:
-                    y = up(x)
-                    if y is not None:
-                        steps.append((pair, i))
-                        x = y
+                    z = up(y)
+                    if z >= 0:
+                        steps.append((y, i))
+                        y = z
                         break
                 else:
                     raise ModelConsistencyError("highest element missed by the scan")
-            (ra, rb), h = self.R[pair], self.H[pair]
-            n = self.swapped.width
-            img = ra * n + rb
-            for pair, i in reversed(steps):
+            img, h = self.R[y], self.H[y]
+            for y, i in reversed(steps):
                 img = self.downs[i](img)
-                if img is None:
+                if img < 0:
                     raise ModelConsistencyError("R transport left the crystal")
-                self.R[pair] = divmod(img, n)
-                self.H[pair] = h
-        return self.R[key], self.H[key]
+                self.R[y] = img
+                self.H[y] = h
+        return self.R[x], self.H[x]
 
 
 def _content(space: ProductTable, x: int) -> list[int]:
@@ -128,8 +122,7 @@ def comb_R(x: TensorElt) -> TensorElt:
         raise ValueError("expected a two-factor tensor element")
     a, b = x.factors
     table = energy_table(x.cartan, a.shape, b.shape)
-    img = table.entry(a.pos, b.pos)[0]
-    return TensorElt(t.elements[k] for t, k in zip(table.swapped.tables, img))
+    return table.swapped.element(table.entry(table.pair.code(x))[0])
 
 
 def pair_energies(space: ProductTable, x: int) -> list[tuple[int, int, int]]:
@@ -144,8 +137,10 @@ def pair_energies(space: ProductTable, x: int) -> list[tuple[int, int, int]]:
         for j in range(i + 1, len(x)):
             shape, t = tables[j].shape, x[j]
             for k in range(j - 1, i, -1):
-                t = energy_table(c, tables[k].shape, shape).entry(x[k], t)[0][0]
-            out.append((i, j, energy_table(c, tables[i].shape, shape).entry(x[i], t)[1]))
+                table = energy_table(c, tables[k].shape, shape)
+                t = table.entry(x[k] * table.pair.width + t)[0] // table.swapped.width
+            table = energy_table(c, tables[i].shape, shape)
+            out.append((i, j, table.entry(x[i] * table.pair.width + t)[1]))
     return out
 
 

@@ -79,10 +79,6 @@ class RectTableau:
     def stats(self, i) -> tuple[int, int]:
         return self.table.stats[i][self.pos]
 
-    def sort_key(self):
-        """Positions follow the canonical order of the rows."""
-        return (self.shape, self.pos)
-
     def text(self) -> str:
         if self.shape[1] == 0:
             return "-"

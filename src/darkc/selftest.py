@@ -10,10 +10,10 @@ the axioms, the tensor twist equations, and R commuting with every e_i and
 f_i.  `build` walks i-strings on the factors' arrays (`ProductTable.close`),
 which the tests tie to a closure by the per-position steps of the same
 class, and those steps to these arrays.  `EnergyOracle`, which criterion 8
-compares R and H of `energy.energy_table` with, walks the arrays of the
-pair's two product tables, the rule in its row shape, while `energy` moves
-pairs by the steps: no tensor-rule code is shared.  Criterion 2 checks the
-order of promotion and its slide oracle on the tableaux, and `TensorElt`
+compares R and H of `energy.energy_table` with code by code, walks the arrays
+of the pair's two product tables, the rule in its row shape, while `energy`
+moves pairs by the steps: no tensor-rule code is shared.  Criterion 2 checks
+the order of promotion and its slide oracle on the tableaux, and `TensorElt`
 serves the Yang-Baxter check on `comb_R` and names an element in a failure,
 built only then.
 """
@@ -269,7 +269,7 @@ def demazure_by_division(c: CartanA, i: int, f: CharPoly) -> CharPoly:
         if guard > 100000:
             raise CheckFailure("division did not terminate")
         mu, coef = max(g.terms.items(),
-                       key=lambda t: (t[0].lam[i],) + t[0].sort_key())
+                       key=lambda t: (t[0][i], t[0]))
         quot[mu] = quot.get(mu, 0) + coef
         g = g - CharPoly({mu: coef, mu - alpha: -coef})
     return CharPoly(quot)
@@ -340,7 +340,8 @@ class EnergyOracle:
     R commutes with every e_i and f_i.  Classical arrows preserve H, and a
     0-arrow shifts it by +1 / -1 when e_0 acts on the left / right factor both
     before and after applying R.  The search runs on the arrays of `pair`,
-    B1 (x) B2, and `swapped`, B2 (x) B1; construction raises
+    B1 (x) B2, and `swapped`, B2 (x) B1, and R and H are lists indexed by the
+    codes of `pair`, R's values codes of `swapped`; construction raises
     ModelConsistencyError when two paths disagree or it misses a pair."""
 
     def __init__(self, pair: ProductTable, swapped: ProductTable):
@@ -369,8 +370,7 @@ class EnergyOracle:
                     self._record(queue, R, H, down, r_down, hv)
         if min(R) < 0:
             raise ModelConsistencyError("tensor product not connected by arrows")
-        self.R = {x: (right[ry // n1], left[ry % n1]) for x, ry in zip(product(left, right), R)}
-        self.H = dict(zip(product(left, right), H))
+        self.R, self.H = R, H
 
     @staticmethod
     def _zero_step(x, y, rx, ry, n2, n1) -> int:
@@ -400,18 +400,15 @@ def _check_pair_energy(c: CartanA, sh1, sh2) -> None:
     pair, swapped = ProductTable(left, right), ProductTable(right, left)
     oracle = EnergyOracle(pair, swapped)
     table, back = energy_table(c, sh1, sh2), energy_table(c, sh2, sh1)
-    R = []  # R as positions, pair -> swapped
-    for a, A in enumerate(left.elements):
-        for b, B in enumerate(right.elements):
-            x = len(R)
-            (ra, rb), h = table.entry(a, b)
-            if (right.elements[ra], left.elements[rb]) != oracle.R[(A, B)]:
-                _fail(pair, "R differs from the oracle at %r", x)
-            if h != oracle.H[(A, B)]:
-                _fail(pair, "H differs from the oracle at %r", x)
-            if back.entry(ra, rb)[0] != (a, b):
-                _fail(pair, "R^2 != id at %r", x)
-            R.append(ra * len(left.elements) + rb)
+    for x in range(len(pair)):
+        img, h = table.entry(x)
+        if img != oracle.R[x]:
+            _fail(pair, "R differs from the oracle at %r", x)
+        if h != oracle.H[x]:
+            _fail(pair, "H differs from the oracle at %r", x)
+        if back.entry(img)[0] != x:
+            _fail(pair, "R^2 != id at %r", x)
+    R = table.R  # now holding every code of pair
     for i in c.nodes:
         for side, ops, swapped_ops in (("f", pair.f[i], swapped.f[i]),
                                        ("e", pair.e[i], swapped.e[i])):

@@ -265,7 +265,7 @@ def bfs_close(space: ProductTable, letters, seeds, walk) -> dict:
             nxt = []
             for x in frontier:
                 y = f(x)
-                if y is not None and y not in energies:
+                if y >= 0 and y not in energies:
                     energies[y] = energies[x] if i else walk(y)
                     nxt.append(y)
             frontier = nxt

@@ -226,7 +226,7 @@ def test_affine_weight_order_is_lam_then_delta():
                 sorted(f.terms, key=lambda mu: (mu.lam, mu.dlt))
             for i in c.nodes:
                 # the leading-term key of selftest.demazure_by_division
-                assert sorted(f.terms, key=lambda mu: (mu.lam[i],) + mu.sort_key()) == \
+                assert sorted(f.terms, key=lambda mu: (mu[i], mu)) == \
                     sorted(f.terms, key=lambda mu: (mu.lam[i], mu.lam, mu.dlt))
 
 

@@ -106,7 +106,7 @@ def test_export_dot(tmp_path, capsys):
 
 
 
-# Node order follows sort_key, the factors' table positions.
+# Node order follows the codes, the factors' table positions.
 EXPORT_NODES = [f"{top}|{b}" for top in ("11/22", "11/23", "11/33", "12/23", "12/33", "22/33")
                 for b in "123"]
 EXPORT_EDGES = ("0 1 1, 0 3 2, 1 4 2, 2 0 0, 2 5 2, 3 6 2, 3 9 1, 4 7 2, 5 3 0, "

@@ -159,7 +159,7 @@ def test_codes_match_tensor_elements():
             a, k = divmod(x, space.width)
             assert tuple(map(add, space.left.wt[a], right[k])) == clweight(b)
             for i in c.nodes:
-                moved = (None if y is None else space.code(y) for y in (b.e(i), b.f(i)))
+                moved = (-1 if y is None else space.code(y) for y in (b.e(i), b.f(i)))
                 assert rows[i](x) == b.stats(i) + tuple(moved), (b, i)
             checked += 1
     assert checked > 10000
@@ -207,8 +207,7 @@ def test_product_tables_match_codes():
             for x in range(len(codes)):
                 ep, ph, up, down = node(x)
                 assert (space.stats[i][x], space.e[i][x], space.f[i][x]) == \
-                    ((ep, ph), -1 if up is None else up, -1 if down is None else down), \
-                    (codes.element(x), i)
+                    ((ep, ph), up, down), (codes.element(x), i)
                 rows += 1
     assert rows == 228260  # 227,688 on products, 572 on the 157 tableaux
 

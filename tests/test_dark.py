@@ -263,7 +263,8 @@ def test_carried_energy_matches_total_D_and_the_object_build(group):
         assert dark.elements == object_space_build(spec), spec
         for x, d in dark.energies.items():
             assert d == total_D(dark.product, x), (spec, x)
-        assert sorted_elements(dark) == sorted(dark.elements, key=lambda b: b.sort_key())
+        assert sorted_elements(dark) == sorted(dark.elements,
+                                               key=lambda b: [a.pos for a in b.factors])
 
 
 def test_verify_builds_no_tensor_elements(monkeypatch):

@@ -22,7 +22,8 @@ def tensor(n, *texts):
 def local_H(x):
     """H of a two-factor tensor element, read off its pair's energy table."""
     a, b = x.factors
-    return energy.energy_table(x.cartan, a.shape, b.shape).entry(a.pos, b.pos)[1]
+    table = energy.energy_table(x.cartan, a.shape, b.shape)
+    return table.entry(table.pair.code(x))[1]
 
 
 def total_D(b):
@@ -114,9 +115,10 @@ def test_r_squared_identity_mixed_shapes():
 
 
 def shape_oracle(c, sh1, sh2):
-    """The EnergyOracle of B^{sh1} (x) B^{sh2}."""
+    """(pair, swapped, their EnergyOracle) for pair = B^{sh1} (x) B^{sh2}."""
     left, right = generate(c, *sh1)[0].table, generate(c, *sh2)[0].table
-    return EnergyOracle(ProductTable(left, right), ProductTable(right, left))
+    pair, swapped = ProductTable(left, right), ProductTable(right, left)
+    return pair, swapped, EnergyOracle(pair, swapped)
 
 
 def test_energy_tables_build_on_grid_pairs():
@@ -125,8 +127,8 @@ def test_energy_tables_build_on_grid_pairs():
         c = CartanA(n)
         shapes = [(r, s) for r in range(1, min(n, 2) + 1) for s in (1, 2)]
         for sh1, sh2 in product(shapes, repeat=2):
-            table = shape_oracle(c, sh1, sh2)
-            assert len(table.H) == len(generate(c, *sh1)) * len(generate(c, *sh2))
+            oracle = shape_oracle(c, sh1, sh2)[2]
+            assert len(oracle.H) == len(generate(c, *sh1)) * len(generate(c, *sh2))
 
 
 @pytest.mark.parametrize("n, sh1, sh2", [
@@ -137,11 +139,11 @@ def test_energy_tables_build_on_grid_pairs():
 ], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"n{v}")
 def test_lazy_entries_match_oracle(n, sh1, sh2):
     c = CartanA(n)
-    oracle = shape_oracle(c, sh1, sh2)
-    for a, b in product(generate(c, *sh1), generate(c, *sh2)):
-        x = TensorElt((a, b))
-        assert comb_R(x).factors == oracle.R[(a, b)]
-        assert local_H(x) == oracle.H[(a, b)]
+    pair, swapped, oracle = shape_oracle(c, sh1, sh2)
+    for x in range(len(pair)):
+        b = pair.element(x)
+        assert comb_R(b) == swapped.element(oracle.R[x])
+        assert local_H(b) == oracle.H[x]
 
 
 def tensor_word(x):
@@ -177,10 +179,13 @@ def test_r_and_h_match_the_plactic_oracle(n, sh1, sh2):
     # grid's cap on selftest.EnergyOracle.
     c = CartanA(n)
     rows = max(sh1[0], sh2[0])
+    table, back = energy.energy_table(c, sh1, sh2), energy.energy_table(c, sh2, sh1)
     for x in map(TensorElt, product(generate(c, *sh1), generate(c, *sh2))):
         P = insertion_tableau(tensor_word(x))
         assert insertion_tableau(tensor_word(comb_R(x))) == P, x
         assert local_H(x) == -sum(map(len, P[rows:])), x
+        code = table.pair.code(x)
+        assert back.entry(table.entry(code)[0])[0] == code, x
 
 
 def test_the_oracle_meets_the_plactic_invariants_on_every_grid_pair():
@@ -192,11 +197,11 @@ def test_the_oracle_meets_the_plactic_invariants_on_every_grid_pair():
         for sh1, sh2 in product(single_shapes(n), repeat=2):
             if len(generate(c, *sh1)) * len(generate(c, *sh2)) > PRODUCT_CAP:
                 continue
-            oracle = shape_oracle(c, sh1, sh2)
+            pair, swapped, oracle = shape_oracle(c, sh1, sh2)
             rows = max(sh1[0], sh2[0])
-            for x, rx in oracle.R.items():
-                P = insertion_tableau(tensor_word(TensorElt(x)))
-                assert insertion_tableau(tensor_word(TensorElt(rx))) == P, x
+            for x, rx in enumerate(oracle.R):
+                P = insertion_tableau(tensor_word(pair.element(x)))
+                assert insertion_tableau(tensor_word(swapped.element(rx))) == P, x
                 assert oracle.H[x] == -sum(map(len, P[rows:])), x
             pairs += 1
     assert pairs == 76

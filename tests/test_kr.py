@@ -113,7 +113,7 @@ def test_connectivity_under_all_arrows():
         for r in range(1, min(n, 2) + 1):
             for s in (1, 2, 3):
                 all_elts = set(generate(c, r, s))
-                seen = {next(iter(sorted(all_elts, key=lambda t: t.sort_key())))}
+                seen = {next(iter(sorted(all_elts, key=lambda t: (t.shape, t.pos))))}
                 frontier = list(seen)
                 while frontier:
                     nxt = []

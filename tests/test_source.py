@@ -2,7 +2,8 @@
 function and class in src/darkc is referenced there outside its own
 definition, or exported in darkc.__all__, and so is every method other than
 a dunder, as an attribute.  Oracles and diagnostics that only the tests call
-live in tests/oracles.py.  Every name in darkc.__all__ is importable."""
+live in tests/oracles.py.  Every attribute that src/darkc stores on self is
+read there too.  Every name in darkc.__all__ is importable."""
 
 import ast
 from collections import defaultdict
@@ -44,8 +45,31 @@ def _unused_names(src: Path, exported) -> list[str]:
     return unused
 
 
+def _unread_attributes(src: Path) -> list[str]:
+    """module.Class.name of each attribute that a class of the .py files in
+    src assigns as self.<name> and that no Attribute in them loads: stored,
+    never read."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = set()
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                unread.update(f"{module}.{cls.name}.{node.attr}" for node in ast.walk(cls)
+                              if isinstance(node, ast.Attribute)
+                              and isinstance(node.ctx, ast.Store)
+                              and isinstance(node.value, ast.Name) and node.value.id == "self"
+                              and node.attr not in loaded)
+    return sorted(unread)
+
+
 def test_every_module_level_name_is_used_in_src_or_exported():
     assert _unused_names(Path(darkc.__file__).resolve().parent, darkc.__all__) == []
+
+
+def test_every_stored_attribute_is_read_in_src():
+    assert _unread_attributes(Path(darkc.__file__).resolve().parent) == []
 
 
 def test_every_exported_name_is_defined():
@@ -80,3 +104,12 @@ def test_a_local_variable_is_no_use_of_a_method(tmp_path):
         "def used():\n    one = 1\n    return one + Exported().level()\n")
     (tmp_path / "b.py").write_text("from a import used\n\nX = used()\n")
     assert _unused_names(tmp_path, ["Exported"]) == ["a.Exported.one"]
+
+
+def test_the_scan_sees_an_attribute_that_nothing_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Exported:\n"
+        "    def __init__(self, n):\n        self.n, self.spare = n, n\n        self.kept = n\n\n"
+        "    def twice(self):\n        return 2 * self.n\n")
+    (tmp_path / "b.py").write_text("from a import Exported\n\nX = Exported(1).kept\n")
+    assert _unread_attributes(tmp_path) == ["a.Exported.spare"]
