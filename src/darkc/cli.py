@@ -20,7 +20,7 @@ from .dark import (DarkSpec, FactorWord, _build, dark_to_json, lhs_character,
                    rhs_character, validate, verify_detail)
 from .energy import pair_energies, total_D
 from .kr import parse_tensor
-from .selftest import CRITERIA, run_all
+from .selftest import outcomes, run_all
 from .weyl import kr_translation_data, reduced_word
 
 
@@ -182,15 +182,10 @@ def _cmd_energy(args) -> int:
 
 def _cmd_selftest(args) -> int:
     if args.json:
-        results = []
-        ok = True
-        for name, fn in CRITERIA:
-            try:
-                fn()
-                results.append({"name": name, "ok": True})
-            except AssertionError as exc:
-                ok = False
-                results.append({"name": name, "ok": False, "detail": str(exc)})
+        results = [{"name": name, "ok": True} if passed else
+                   {"name": name, "ok": False, "detail": detail}
+                   for name, passed, detail in outcomes()]
+        ok = all(result["ok"] for result in results)
         print(json.dumps({"ok": ok, "criteria": results}))
         return 0 if ok else 1
     return 0 if run_all(sys.stdout.write) else 1

@@ -87,8 +87,8 @@ class TensorElt:
         factors = tuple(factors)
         if not factors:
             raise ValueError("empty tensor")
-        # identity first: the factors of one KR table, and so of most
-        # tensors, share one CartanA object (kr._table)
+        # identity first: the tableaux of one KR table, and so the factors of
+        # most tensors, share its CartanA object (kr.KRTable.cartan)
         c = factors[0].cartan
         for b in factors:
             if b.cartan is not c and b.cartan != c:
@@ -217,22 +217,20 @@ class ProductTable:
     def of(cls, tables, inner=None, eager_rows=EAGER_ROWS):
         """The product of KR tables, the first (x) P with P the product of the
         rest: the one-element _Unit for one table, the KR table for two, and
-        otherwise ProductTables of the rest when P has at most `eager_rows`
-        rows, else the rows of `inner`, the product of the rest (built here
-        when not given), filled as they are read.  An enumerated P is `inner`
-        itself when its own right factor is enumerated, so that each table's
-        arrays are built once."""
+        otherwise `of` the rest when P has at most `eager_rows` rows (no
+        sub-product of the rest is larger, so every level is enumerated), else
+        the rows of `inner`, the product of the rest (built here when not
+        given), filled as they are read.  An enumerated P is `inner` itself
+        when its own right factor is enumerated, so that each table's arrays
+        are built once."""
         left, *rest = tables
         if len(rest) <= 1:
             return cls(left, rest[0] if rest else _Unit(left.cartan))
         if prod(len(t.elements) for t in rest) > eager_rows:
             return cls(left, _Rows(inner or cls.of(rest)))
-        if inner is not None and not isinstance(inner.right, _Rows):
-            return cls(left, inner)
-        right = rest[-1]
-        for t in reversed(rest[:-1]):
-            right = cls(t, right)
-        return cls(left, right)
+        if inner is None or isinstance(inner.right, _Rows):
+            inner = cls.of(rest, None, eager_rows)
+        return cls(left, inner)
 
     def __len__(self):
         return len(self.left.elements) * self.width

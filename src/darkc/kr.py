@@ -9,13 +9,14 @@ Each B^{r,s} is enumerated once into a KRTable, which interns its tableaux
 and holds the crystal structure as integer arrays over their indices.  A row
 is its content and a rectangle is the tensor product of its rows (Shimozono,
 Affine type A crystal structure on tensor products of rectangles, 2002), so
-the table enumerates row contents and builds the classical arrays by the
-signature rule over rows, folded in a row at a time with one column pass over
-all elements per array; promotion is read off those arrays.  A tableau is its
-position in the table, and its rows are built from its contents only when
-they are read.  The same fold gives the string lengths, checked against the
-arrows.  The walks on the reading word and the jeu-de-taquin slides build
-nothing; they stay as oracles for the classical and the promotion arrays.
+the table keeps row contents as one column of counts per row and letter, and
+builds the classical arrays by the signature rule over rows, folded in a row
+at a time with one column pass over all elements per array; promotion is read
+off those arrays.  A tableau is its position in the table, and its rows are
+gathered from the columns only when they are read.  The same fold gives the
+string lengths, checked against the arrows.  The walks on the reading word and
+the jeu-de-taquin slides build nothing; they stay as oracles for the classical
+and the promotion arrays.
 """
 
 from __future__ import annotations
@@ -23,24 +24,23 @@ from __future__ import annotations
 from collections import deque
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import itemgetter, mul, sub
+from operator import mul, sub
 
 from .cartan import CartanA
 from .crystal import ModelConsistencyError, TensorElt
 
 _TABLES: dict = {}
-_CARTANS: dict = {}
 
 
 class RectTableau:
     """An element of B^{r,s}.  Tableaux are interned: the constructor checks
     the rows and returns the one object its KRTable holds, so equality is
     identity.  `table` is that KRTable and `pos` the element's index in it;
-    the rows are read off the table's contents.  So building one tableau
-    enumerates its whole B^{r,s} on first use, and the table lives for the
-    rest of the process."""
+    the Cartan datum is the table's, and the rows are gathered from its
+    columns.  So building one tableau enumerates its whole B^{r,s} on first
+    use, and the table lives for the rest of the process."""
 
-    __slots__ = ("cartan", "table", "pos")
+    __slots__ = ("table", "pos")
 
     def __new__(cls, cartan: CartanA, rows):
         rows = tuple(tuple(int(v) for v in row) for row in rows)
@@ -56,16 +56,18 @@ class RectTableau:
     def __reduce__(self):
         return RectTableau, (self.cartan, self.rows)
 
+    cartan = property(lambda self: self.table.cartan)
+
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        return _rows(self.table.contents[self.pos], self.cartan.m)
+        return _rows([col[self.pos] for col in self.table.columns], self.cartan.m)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.table.shape
 
     def content(self) -> tuple[int, ...]:
-        cs, m = self.table.contents[self.pos], self.cartan.m
+        cs, m = [col[self.pos] for col in self.table.columns], self.cartan.m
         return tuple(sum(cs[v::m]) for v in range(m))
 
     def e(self, i):
@@ -173,20 +175,20 @@ class _ByNode(dict):
 
 class KRTable:
     """B^{r,s} enumerated once.  `elements` holds the interned tableaux in
-    canonical order, `contents` their joined row contents (top row first,
-    see _contents), and `index` maps the key of each, the int with those
-    counts as digits base s+1 (digit t has the weight powers[t]), to its
-    position, keys in position order.  The arrays over positions are built on
-    first use:
+    canonical order, and `columns` their joined row contents (top row first,
+    see _contents): columns[t][k] is the count of letter t % m + 1 in row
+    t // m of element k.  `index` maps the key of each element, the int with
+    its counts as digits base s+1 (digit t has the weight powers[t]), to its
+    position, keys in position order.  Arrays over positions, on first use:
 
     - cl_e[i][k], cl_f[i][k]: for classical i, the position of e_i / f_i of
       element k, or -1, both from the signature rule over its rows, folded
       for all elements at once by column passes (no call per element);
     - pr, pr_inv: promotion and its inverse as permutations, from cl_e and
       cl_f alone (no slides);
-    - e[i][k], f[i][k], eps[i][k], phi[i][k]: cl_e, cl_f and the lengths of
-      the i-string above and below k from the same fold, plus node 0 by pr;
-    - stats[i][k]: the pair (eps[i][k], phi[i][k]);
+    - e[i][k], f[i][k]: cl_e and cl_f plus node 0 by pr;
+    - stats[i][k]: the pair (eps_i, phi_i) of the lengths of the i-string
+      above and below k, from the same fold, plus node 0 by pr;
     - wt[k]: its classical weight, the int tuple of its Lambda coefficients;
     - b_rs: the distinguished element b^{r,s}.
     """
@@ -195,22 +197,21 @@ class KRTable:
         self.cartan = c
         self.shape = (r, s)
         self.name = f"B^{{{r},{s}}}"
-        self.contents = _contents(c.m, r, s)
+        contents = _contents(c.m, r, s)
         self.powers = powers = [(s + 1) ** t for t in range(r * c.m)]
-        self.index = {sum(map(mul, cs, powers)): k for k, cs in enumerate(self.contents)}
-        size = len(self.contents)
+        self.index = {sum(map(mul, cs, powers)): k for k, cs in enumerate(contents)}
+        self.columns = list(zip(*contents))
+        size = len(contents)
         self.elements = tuple(map(object.__new__, repeat(RectTableau, size)))
         # the slot descriptors fill the slots past RectTableau.__setattr__
-        for slot, values in ((RectTableau.cartan, repeat(c)), (RectTableau.table, repeat(self)),
-                             (RectTableau.pos, range(size))):
+        for slot, values in ((RectTableau.table, repeat(self)), (RectTableau.pos, range(size))):
             deque(map(slot.__set__, self.elements, values), 0)
 
     @cached_property
     def wt(self) -> list[tuple[int, ...]]:
         """(c_m - c_1, c_1 - c_2, ..., c_{m-1} - c_m) for the letter counts c_v,
-        a letter at a time: c_v is a column of contents, summed over the rows."""
-        m = self.cartan.m
-        columns = list(zip(*self.contents))
+        a letter at a time: c_v is a column, summed over the rows."""
+        m, columns = self.cartan.m, self.columns
         if self.shape[0] > 1:
             columns = [list(map(sum, zip(*columns[v::m]))) for v in range(m)]
         return list(zip(*(map(sub, columns[v - 1], columns[v]) for v in range(m))))
@@ -219,9 +220,9 @@ class KRTable:
     def b_rs(self) -> RectTableau:
         """The unique element with eps_0 = s and eps_i = 0 for classical i,
         located by exhaustive scan.  Non-uniqueness means broken 0-arrows."""
-        eps, want = self.eps, (self.shape[1],) + (0,) * self.cartan.n
-        hits = [T for T, col in zip(self.elements, zip(*map(eps.get, self.cartan.nodes)))
-                if col == want]
+        want = (self.shape[1],) + (0,) * self.cartan.n
+        eps = [[ep for ep, _ in self.stats[i]] for i in self.cartan.nodes]
+        hits = [T for T, col in zip(self.elements, zip(*eps)) if col == want]
         if len(hits) != 1:
             raise ModelConsistencyError(
                 f"expected one distinguished element in {self.name}, found {len(hits)}")
@@ -239,8 +240,8 @@ class KRTable:
         f = self.cl_f
         size = len(self.elements)
         # entries n+1 lie in the bottom row only, 1s in the top row only
-        lows = self._heads(range(1, n), lambda cs: cs[-1])
-        highs = self._heads(range(2, n + 1), lambda cs: cs[0])
+        lows = self._heads(range(1, n), self.columns[-1])
+        highs = self._heads(range(2, n + 1), self.columns[0])
         if lows.keys() != highs.keys():
             raise ModelConsistencyError(f"promotion heads of {self.name} do not pair up")
         pr = [-1] * size
@@ -270,13 +271,13 @@ class KRTable:
             raise ModelConsistencyError(f"promotion is not a bijection on {self.name}")
         return pr
 
-    def _heads(self, nodes, count) -> dict[int, int]:
-        """The elements killed by e_i for every i in nodes, keyed by count of
-        their row contents; two heads with one key are a ModelConsistencyError."""
+    def _heads(self, nodes, counts) -> dict[int, int]:
+        """The elements killed by e_i for every i in nodes, keyed by their entry
+        of counts; two heads with one key are a ModelConsistencyError."""
         dead, heads = (-1,) * len(nodes), {}
-        for b, col in enumerate(zip(*map(self.cl_e.get, nodes), self.contents)):
+        for b, col in enumerate(zip(*map(self.cl_e.get, nodes), counts)):
             if col[:-1] == dead:
-                key = count(col[-1])
+                key = col[-1]
                 if key in heads:
                     raise ModelConsistencyError(f"two promotion heads of {self.name} share {key}")
                 heads[key] = b
@@ -292,14 +293,14 @@ class KRTable:
     @cached_property
     def pr_powers(self) -> list[list[int]]:
         """pr^k for k = 0, ..., n."""
-        powers = [list(range(len(self.elements)))]
-        for _ in range(self.cartan.n):
+        powers = [list(range(len(self.elements))), self.pr]
+        for _ in range(self.cartan.n - 1):
             powers.append([self.pr[j] for j in powers[-1]])
         return powers
 
     @cached_property
-    def _classical(self) -> tuple[_ByNode, _ByNode, _ByNode, _ByNode]:
-        """cl_e, cl_f, eps and phi of the classical nodes by the signature rule
+    def _classical(self) -> tuple[_ByNode, _ByNode, _ByNode]:
+        """cl_e, cl_f and stats of the classical nodes by the signature rule
         over the rows, one column pass per row and array.  The rows go in top
         row first (the reading word backwards), each as the pair (#(i+1), #i)
         of its eps_i and phi_i.  Row 0 starts the state; each further row is
@@ -308,21 +309,19 @@ class KRTable:
         into i+1.  A move is one addition to the key of the contents (None for
         no move; every move is 0 at s = 0), looked up in `index` in one pass
         per node."""
-        m, r, contents, size = self.cartan.m, self.shape[0], self.contents, len(self.contents)
+        m, r, columns, size = self.cartan.m, self.shape[0], self.columns, len(self.elements)
         powers, index = self.powers, self.index
         keys = list(index)
-        e, f, eps, phi = arrays = _ByNode(), _ByNode(), _ByNode(), _ByNode()
+        e, f, stats = arrays = _ByNode(), _ByNode(), _ByNode()
         try:
             for i in self.cartan.classical_nodes:
                 move = powers[i - 1] - powers[i]
-                ep = list(map(itemgetter(i), contents))
-                ph = list(map(itemgetter(i - 1), contents))
+                ep, ph = columns[i], columns[i - 1]
                 up = [move if a else None for a in ep]
                 down = [move if b else None for b in ph]
                 for j in range(i - 1 + m, r * m, m):  # a, b: the row's #(i+1), #i; p: phi so far
                     move = powers[j] - powers[j + 1]
-                    a_col = list(map(itemgetter(j + 1), contents))
-                    b_col = list(map(itemgetter(j), contents))
+                    a_col, b_col = columns[j + 1], columns[j]
                     up = [move if a > p else u for a, p, u in zip(a_col, ph, up)]
                     down = [d if a < p else move if b else None
                             for a, b, p, d in zip(a_col, b_col, ph, down)]
@@ -335,7 +334,7 @@ class KRTable:
                         up_i[k] = index[key + u]
                     if d is not None:
                         down_i[k] = index[key - d]
-                eps[i], phi[i] = ep, ph
+                stats[i] = list(zip(ep, ph))
         except KeyError:
             raise ModelConsistencyError(f"a classical arrow left {self.name}") from None
         return arrays
@@ -344,40 +343,34 @@ class KRTable:
     cl_f = property(lambda self: self._classical[1])
 
     @cached_property
-    def _affine(self) -> tuple[_ByNode, _ByNode, _ByNode, _ByNode]:
-        """e, f, eps and phi: the classical arrays plus node 0 through
-        promotion, e_0 = pr_inv o e_1 o pr and eps_0 = eps_1 o pr.  Every node
-        is checked against its arrows in one pass: a step is -1 exactly where
-        the string length is 0, and otherwise lands where it is one less."""
+    def _affine(self) -> tuple[_ByNode, _ByNode, _ByNode]:
+        """e, f and stats: the classical arrays plus node 0 through promotion,
+        e_0 = pr_inv o e_1 o pr and stats_0 = stats_1 o pr (node 1's pairs).
+        Every node is checked against its arrows in one pass: a step is -1
+        exactly where the string length is 0, else lands where it is one less."""
         pr, pr_inv = self.pr, self.pr_inv
-        arrays = tuple(map(_ByNode, self._classical))
-        for steps, lengths in zip(arrays[:2], arrays[2:]):
-            one, length = steps[1], lengths[1]
-            steps[0] = [-1 if one[j] < 0 else pr_inv[one[j]] for j in pr]
-            lengths[0] = list(map(length.__getitem__, pr))
-            for i, row in lengths.items():
-                if [-1 if j < 0 else row[j] for j in steps[i]] != [v - 1 for v in row]:
+        e, f, stats = arrays = tuple(map(_ByNode, self._classical))
+        for steps in (e, f):
+            steps[0] = [-1 if j < 0 else pr_inv[j] for j in map(steps[1].__getitem__, pr)]
+        stats[0] = list(map(stats[1].__getitem__, pr))
+        for i, pairs in stats.items():
+            for steps, row in zip((e[i], f[i]), zip(*pairs)):
+                if [-1 if j < 0 else row[j] for j in steps] != [v - 1 for v in row]:
                     raise ModelConsistencyError(
                         f"node {i} string lengths of {self.name} do not match its arrows")
         return arrays
 
     e = property(lambda self: self._affine[0])
     f = property(lambda self: self._affine[1])
-    eps = property(lambda self: self._affine[2])
-    phi = property(lambda self: self._affine[3])
-
-    @cached_property
-    def stats(self) -> _ByNode:
-        return _ByNode((i, list(zip(self.eps[i], self.phi[i]))) for i in self.cartan.nodes)
+    stats = property(lambda self: self._affine[2])
 
 
 def _table(c: CartanA, r: int, s: int) -> KRTable:
-    """The KRTable of B^{r,s}.  All tables of one rank share one CartanA
-    object, so tensors check their factors' Cartan data by identity."""
+    """The KRTable of B^{r,s}, built on first use with the caller's CartanA
+    and kept for the rest of the process."""
     key = (c.n, r, s)
     table = _TABLES.get(key)
     if table is None:
-        c = _CARTANS.setdefault(c.n, c)
         table = _TABLES[key] = KRTable(c, r, s)
     return table
 

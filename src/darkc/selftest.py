@@ -31,7 +31,8 @@ from .cartan import AffineWeight, CartanA, cl_simple_root, reflect, simple_root
 from .charring import CharPoly, demazure_op, sigma_act
 from .crystal import (ModelConsistencyError, ProductTable, TensorElt,
                       classical_highest_path, demazure_closure, eps)
-from .dark import DarkSpec, FactorWord, build, full_tensor, verify, well_definedness_check
+from .dark import (DarkSpec, FactorWord, build, full_tensor, make_spec, verify,
+                   well_definedness_check)
 from .energy import comb_R, energy_table
 from .kr import (find_b_rs, generate, promotion, promotion_inverse,
                  promotion_inverse_by_slides)
@@ -207,15 +208,13 @@ def _lambda_grid(p: int) -> list[tuple[int, ...]]:
 
 
 def _prefixed_samples() -> list[DarkSpec]:
-    mk = lambda n, lam, r, words: DarkSpec(
-        CartanA(n), lam, r, tuple(FactorWord(*w) for w in words))
     return [
-        mk(1, (2, 1), (1, 1), [((1,), ()), ((), (1,))]),
-        mk(1, (3, 1), (1, 1), [((1,), (1,)), ((1,), ())]),
-        mk(2, (2, 1), (1, 1), [((1, 2, 1), ()), ((), (2, 1))]),
-        mk(2, (2, 2), (2, 1), [((2, 1, 2), (1, 2)), ((1,), (2, 1))]),
-        mk(2, (3, 2), (1, 2), [((1, 2), (2, 1)), ((2,), (1, 2))]),
-        mk(2, (3, 0), (2, 2), [((1, 2, 1), (1, 2)), ((), ())]),
+        make_spec(1, (2, 1), (1, 1), [((1,), ()), ((), (1,))]),
+        make_spec(1, (3, 1), (1, 1), [((1,), (1,)), ((1,), ())]),
+        make_spec(2, (2, 1), (1, 1), [((1, 2, 1), ()), ((), (2, 1))]),
+        make_spec(2, (2, 2), (2, 1), [((2, 1, 2), (1, 2)), ((1,), (2, 1))]),
+        make_spec(2, (3, 2), (1, 2), [((1, 2), (2, 1)), ((2,), (1, 2))]),
+        make_spec(2, (3, 0), (2, 2), [((1, 2, 1), (1, 2)), ((), ())]),
     ]
 
 
@@ -480,15 +479,20 @@ CRITERIA = (
 )
 
 
+def outcomes():
+    """(name, passed, summary or failure) per criterion of CRITERIA at the call."""
+    for name, fn in CRITERIA:
+        try:
+            yield name, True, fn()
+        except CheckFailure as exc:
+            yield name, False, str(exc)
+
+
 def run_all(write) -> bool:
     """Run every criterion, printing one deterministic line per criterion."""
     all_ok = True
-    for idx, (name, fn) in enumerate(CRITERIA, start=1):
-        try:
-            detail = fn()
-            write(f"criterion {idx} {name}: PASS ({detail})\n")
-        except CheckFailure as exc:
-            all_ok = False
-            write(f"criterion {idx} {name}: FAIL ({exc})\n")
+    for idx, (name, passed, detail) in enumerate(outcomes(), start=1):
+        all_ok &= passed
+        write(f"criterion {idx} {name}: {'PASS' if passed else 'FAIL'} ({detail})\n")
     write(f"selftest: {'PASS' if all_ok else 'FAIL'}\n")
     return all_ok

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import darkc
-from darkc import dark, kr
+from darkc import dark, kr, selftest
 from darkc.cli import main
 from darkc.crystal import ModelConsistencyError
 
@@ -250,3 +250,22 @@ def test_verify_failure_diff_exact(monkeypatch, capsys, flag, stdout):
     assert out == stdout
     assert err == ("only-lhs: coef=1 lam=[2, -1] delta=-1/4\n"
                    "only-rhs: coef=2 lam=[2, -1] delta=1/4\n")
+
+
+def test_selftest_modes_report_the_same_failure(monkeypatch, capsys):
+    # both modes run selftest.CRITERIA as it stands when the command runs
+    def broken():
+        raise selftest.CheckFailure("broken at 12/23")
+
+    monkeypatch.setattr(selftest, "CRITERIA", (("passing", lambda: "1 check"),
+                                               ("failing", broken)))
+    code, out, _ = run_main(capsys, "selftest")
+    assert code == 1
+    assert out == ("criterion 1 passing: PASS (1 check)\n"
+                   "criterion 2 failing: FAIL (broken at 12/23)\n"
+                   "selftest: FAIL\n")
+    code, out, _ = run_main(capsys, "selftest", "--json")
+    assert code == 1
+    assert json.loads(out) == {"ok": False, "criteria": [
+        {"name": "passing", "ok": True},
+        {"name": "failing", "ok": False, "detail": "broken at 12/23"}]}

@@ -249,9 +249,9 @@ def test_table_arrays_match_walks_on_tableaux(n):
                 for arrays, up in ((table.e, True), (table.f, False)):
                     moved = _walk(T, i, up)
                     assert arrays[i][k] == (-1 if moved is None else moved.pos)
-                assert table.eps[i][k] == _string_length(T, i, True)
-                assert table.phi[i][k] == _string_length(T, i, False)
-                assert T.stats(i) == (table.eps[i][k], table.phi[i][k])
+                assert table.stats[i][k] == (_string_length(T, i, True),
+                                             _string_length(T, i, False))
+                assert T.stats(i) == table.stats[i][k]
 
 
 def _rectangle_size(m, r, s):
@@ -325,7 +325,6 @@ def test_classical_arrays_need_no_rule_call(monkeypatch):
             assert table.cl_e[i] == want.cl_e[i] and table.cl_f[i] == want.cl_f[i]
         for i in c.nodes:
             assert table.e[i] == want.e[i] and table.f[i] == want.f[i]
-            assert table.eps[i] == want.eps[i] and table.phi[i] == want.phi[i]
             assert table.stats[i] == want.stats[i]
         assert table.pr == want.pr and table.pr_inv == want.pr_inv
 
@@ -378,7 +377,7 @@ def test_classical_arrays_match_walks_beyond_the_grid(n, r, s):
                 moved = walk(i, T)
                 assert arrays[i][k] == (-1 if moved is None else moved.pos)
     fresh = kr.KRTable(c, r, s)
-    if len(fresh.contents) > 1:
+    if len(fresh.elements) > 1:
         # the last element, all letters as large as they go, lies below another
         del fresh.index[next(reversed(fresh.index))]
         with pytest.raises(ModelConsistencyError,
@@ -410,12 +409,13 @@ def test_string_lengths_of_the_rule_match_walks_of_the_arrows(n, r, s):
     # promotion; walking every string of the e and f arrays checks them
     table = generate(CartanA(n), r, s)[0].table
     for i in table.cartan.nodes:
-        assert table.eps[i] == _string_lengths(table.e[i]), i
-        assert table.phi[i] == _string_lengths(table.f[i]), i
+        assert table.stats[i] == list(zip(_string_lengths(table.e[i]),
+                                          _string_lengths(table.f[i]))), i
 
 
-@pytest.mark.parametrize("arrays, lengths", [("cl_e", "eps"), ("cl_f", "phi")])
-def test_one_broken_arrow_fails_the_string_length_check(arrays, lengths):
+@pytest.mark.parametrize("arrays", [pytest.param("cl_e", id="cl_e-eps"),
+                                    pytest.param("cl_f", id="cl_f-phi")])
+def test_one_broken_arrow_fails_the_string_length_check(arrays):
     # an arrow of a fresh table that skips to another element of its string
     # (or leaves it) no longer lands where the rule's count is one less
     fresh = kr.KRTable(CartanA(3), 2, 2)
@@ -425,7 +425,7 @@ def test_one_broken_arrow_fails_the_string_length_check(arrays, lengths):
     step[k] = step[step[k]] if step[step[k]] >= 0 else -1
     with pytest.raises(ModelConsistencyError,
                        match=r"^node 2 string lengths of B\^\{2,2\} do not match its arrows$"):
-        getattr(fresh, lengths)
+        fresh.stats
 
 
 def test_find_b_rs_on_a_long_row_needs_no_deep_stack():
@@ -474,6 +474,18 @@ def test_a_fresh_table_interns_its_tableaux(monkeypatch):
     for name in ("cartan", "table", "pos"):
         with pytest.raises(AttributeError):
             setattr(T, name, None)
+
+
+def test_a_table_holds_each_quantity_once():
+    # row contents only as columns, string lengths only as the stats pairs
+    # (node 0 reuses node 1's), promotion once, the Cartan datum on the table
+    table = kr.KRTable(CartanA(3), 2, 2)
+    size = len(table.elements)
+    assert not [name for name in ("contents", "eps", "phi") if hasattr(table, name)]
+    assert [len(col) for col in table.columns] == [size] * (2 * 4)
+    assert all(table.stats[0][j] is table.stats[1][table.pr[j]] for j in range(size))
+    assert table.pr_powers[1] is table.pr
+    assert RectTableau.__slots__ == ("table", "pos") and not hasattr(kr, "_CARTANS")
 
 
 def test_a_fresh_table_holds_no_rows():

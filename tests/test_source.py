@@ -3,7 +3,8 @@ function and class in src/darkc is referenced there outside its own
 definition, or exported in darkc.__all__, and so is every method other than
 a dunder, as an attribute.  Oracles and diagnostics that only the tests call
 live in tests/oracles.py.  Every attribute that src/darkc stores on self is
-read there too.  Every name in darkc.__all__ is importable."""
+read there too.  Every name in darkc.__all__ is importable, and every name a
+module imports is read in that module."""
 
 import ast
 from collections import defaultdict
@@ -64,12 +65,35 @@ def _unread_attributes(src: Path) -> list[str]:
     return sorted(unread)
 
 
+def _unused_imports(src: Path, exported) -> list[str]:
+    """module.name of each name that a .py file of src imports and that no
+    Name in the same file loads.  `from __future__ import annotations` is
+    exempt, and so are the names in exported when __init__.py imports them."""
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exempt = {"annotations"} | (set(exported) if path.stem == "__init__" else set())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                # `import a.b` binds and is read as the name a
+                bound = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                unused += [f"{path.stem}.{name}" for name in bound
+                           if name not in loaded and name not in exempt]
+    return unused
+
+
 def test_every_module_level_name_is_used_in_src_or_exported():
     assert _unused_names(Path(darkc.__file__).resolve().parent, darkc.__all__) == []
 
 
 def test_every_stored_attribute_is_read_in_src():
     assert _unread_attributes(Path(darkc.__file__).resolve().parent) == []
+
+
+def test_every_imported_name_is_read_in_its_module():
+    assert _unused_imports(Path(darkc.__file__).resolve().parent, darkc.__all__) == []
 
 
 def test_every_exported_name_is_defined():
@@ -113,3 +137,14 @@ def test_the_scan_sees_an_attribute_that_nothing_reads(tmp_path):
         "    def twice(self):\n        return 2 * self.n\n")
     (tmp_path / "b.py").write_text("from a import Exported\n\nX = Exported(1).kept\n")
     assert _unread_attributes(tmp_path) == ["a.Exported.spare"]
+
+
+def test_the_scan_sees_an_import_that_its_module_never_reads(tmp_path):
+    (tmp_path / "__init__.py").write_text("from a import Exported, helper\n")
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n\n"
+        "import os.path\n"
+        "from operator import itemgetter, mul\n\n\n"
+        "def helper(xs) -> int:\n    return sum(map(mul, xs, xs)) + len(os.path.sep)\n\n\n"
+        "class Exported:\n    pass\n")
+    assert _unused_imports(tmp_path, ["Exported"]) == ["__init__.helper", "a.itemgetter"]
