@@ -13,11 +13,11 @@ import argparse
 import json
 import sys
 
-from .cartan import CartanA
+from .cartan import AffineWeight, CartanA
 from .charring import char_to_json
 from .crystal import ModelConsistencyError, ProductTable, graph_dot, graph_json, labels
-from .dark import (DarkSpec, FactorWord, _build, dark_to_json, lhs_character,
-                   rhs_character, validate, verify_detail)
+from .dark import (DarkSpec, FactorWord, _build, build, dark_to_json, lhs_character,
+                   lhs_terms, rhs_character, validate, verify_detail)
 from .energy import pair_energies, total_D
 from .kr import parse_tensor
 from .selftest import outcomes, run_all
@@ -109,15 +109,31 @@ def _cmd_verify(args) -> int:
         print("FAIL")
     if not ok:
         # best-effort alignment so the diff shows the real discrepancies
+        move = AffineWeight((0,) * spec.cartan.m)
         if lhs and rhs and min(lhs.terms).lam == min(rhs.terms).lam:
-            lhs = lhs.shifted(min(rhs.terms) - min(lhs.terms))  # a multiple of delta
+            move = min(rhs.terms) - min(lhs.terms)  # a multiple of delta
+            lhs = lhs.shifted(move)
         lset, rset = set(lhs.terms.items()), set(rhs.terms.items())
+        behind = _elements_behind(spec, move) if lset - rset else {}
         for side, extra in (("lhs", lset - rset), ("rhs", rset - lset)):
             for mu, coef in sorted(extra):
                 print(f"only-{side}: coef={coef} lam={list(mu.lam)} delta={mu.dlt}",
                       file=sys.stderr)
+                for line in behind.get(mu, ()) if side == "lhs" else ():
+                    print(line, file=sys.stderr)
         return 1
     return 0
+
+
+def _elements_behind(spec, move) -> dict:
+    """{lhs term shifted by move: a line per element of the set with that
+    term, its factor texts and D, in code order}, from the set built again."""
+    dark = build(spec)
+    terms, codes = lhs_terms(spec, dark), sorted(dark.energies)
+    behind = {}
+    for x, text in zip(codes, labels(dark.product, codes)):
+        behind.setdefault(terms[x] + move, []).append(f"  element {text} D={dark.energies[x]}")
+    return behind
 
 
 def _cmd_export(args) -> int:

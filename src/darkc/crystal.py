@@ -200,12 +200,14 @@ class ProductTable:
     left.stats[i][a] and (e2, p2) = right.stats[i][c] is written in three
     shapes: per position by the steps raising(i), lowering(i) and eps_phi(i);
     per i-string by close(i, energies, walk), which walks f_i down the
-    factors' arrays with no call per element; and per row as KRTable's arrays
-    stats[i][x], e[i][x] and f[i][x] (-1 for 0), with wt[x] the sum of the
-    factors' weights and pr[x], pr_powers[k][x] the products of their
-    promotions.  The arrays need a filled right factor and are built on first
-    read, e and f together, so construction does no work.  A chosen factor
-    that its array kills is a ModelConsistencyError."""
+    factors' arrays with no call per element; and as arrays over all positions
+    like KRTable's, stats[i][x], e[i][x] and f[i][x] (-1 for 0), with wt[x]
+    the sum of the factors' weights and pr[x], pr_powers[k][x] the products of
+    their promotions, each built by column passes (a comprehension per node
+    or coordinate over the factors' arrays, no call per position).  The arrays
+    need a filled right factor (a `_Rows` one is a TypeError) and are built on
+    first read, e and f together, so construction does no work.  A chosen
+    factor that its array kills is a ModelConsistencyError."""
 
     def __init__(self, left, right):
         self.cartan = left.cartan
@@ -324,49 +326,57 @@ class ProductTable:
         return self._arrows()[1]
 
     def _arrows(self) -> tuple[list, list]:
-        """e and f in one pass over the left rows, node by node, once both
-        factors' arrows are checked live.  Both are kept only when both are
-        built, so a dead factor raises at every read."""
-        left, right, n = self.left, self.right, self.width
+        """e and f by one comprehension per node over the left rows and the
+        right columns, once both factors' arrows are checked live.  Both are
+        kept only when both are built, so a dead factor raises at every read."""
+        left, right, n = self.left, self._filled_right, self.width
         es, fs = [], []
         for i in self.cartan.nodes:
             _check_live(left, i)
             _check_live(right, i)
             cols = list(zip(range(n), right.stats[i], right.e[i], right.f[i]))
-            up, down = [], []
-            for a, ((e1, p1), ua, da) in enumerate(zip(left.stats[i], left.e[i], left.f[i])):
-                x0, ua, da = a * n, ua * n, da * n
-                up += [x0 + uc if e2 > p1 else ua + c if e1 else -1
-                       for c, (e2, _), uc, _ in cols]
-                down += [da + c if p1 > e2 else x0 + dc if p2 else -1
-                         for c, (e2, p2), _, dc in cols]
-            es.append(up)
-            fs.append(down)
+            rows = list(zip(range(0, len(self), n), left.stats[i], left.e[i], left.f[i]))
+            es.append([x0 + uc if e2 > p1 else ua * n + c if e1 else -1
+                       for x0, (e1, p1), ua, _ in rows for c, (e2, _), uc, _ in cols])
+            fs.append([da * n + c if p1 > e2 else x0 + dc if p2 else -1
+                       for x0, (_, p1), _, da in rows for c, (e2, p2), _, dc in cols])
         self.__dict__.update(e=es, f=fs)
         return es, fs
 
     @cached_property
     def stats(self) -> list[list[tuple[int, int]]]:
         """Built on first read, one left row at a time over the right stats."""
+        right = self._filled_right
         return [[(e1 + e2 - p1, p2) if e2 > p1 else (e1, p1 + p2 - e2)
-                 for e1, p1 in self.left.stats[i] for e2, p2 in self.right.stats[i]]
+                 for e1, p1 in self.left.stats[i] for e2, p2 in right.stats[i]]
                 for i in self.cartan.nodes]
 
     @cached_property
     def wt(self) -> list[tuple[int, ...]]:
-        return [tuple(map(add, u, v)) for u in self.left.wt for v in self.right.wt]
+        """One column per weight coordinate over the factors' columns, zipped once."""
+        columns = zip(zip(*self.left.wt), zip(*self._filled_right.wt))
+        return list(zip(*([u + v for u in left for v in right] for left, right in columns)))
 
     @cached_property
     def pr(self) -> list[int]:
         n = self.width
-        return [a * n + c for a in self.left.pr for c in self.right.pr]
+        return [a * n + c for a in self.left.pr for c in self._filled_right.pr]
 
     @cached_property
     def pr_powers(self) -> list[list[int]]:
         """pr^k for k = 0, ..., n, from the factors' pr^k."""
         n = self.width
         return [[a * n + c for a in left for c in right]
-                for left, right in zip(self.left.pr_powers, self.right.pr_powers)]
+                for left, right in zip(self.left.pr_powers, self._filled_right.pr_powers)]
+
+    @property
+    def _filled_right(self):
+        """The right factor, for an array over all positions; one read row by
+        row (`_Rows`) has no whole arrays, and reading one is a TypeError."""
+        if isinstance(self.right, _Rows):
+            names = " (x) ".join(t.name for t in self.right.tables)
+            raise TypeError(f"{names} is read row by row: its product has no whole arrays")
+        return self.right
 
     def factors(self, x: int) -> tuple[int, ...]:
         """The positions of the factors of x in their tables."""
@@ -442,14 +452,28 @@ def classical_highest_path(x) -> tuple:
 
 def crystal_edges(space: ProductTable, codes):
     """Edges (src, dst, i) of the crystal graph of space restricted to a set
-    of its codes, with nodes in canonical order.  Returns (sorted codes, edges)."""
+    of its codes, with nodes in canonical order.  Returns (sorted codes, edges).
+    f_i moves the factors on their arrays, as `ProductTable.close` does, so a
+    right factor read row by row serves too."""
     nodes = sorted(codes)
     index = {x: k for k, x in enumerate(nodes)}
     edges = []
+    n = space.width
     for i in space.cartan.nodes:
-        f = space.lowering(i)
+        s1, d1 = space.left.stats[i], space.left.f[i]
+        s2, d2 = space.right.stats[i], space.right.f[i]
         for k, x in enumerate(nodes):
-            dst = index.get(f(x))
+            a, c = divmod(x, n)
+            e2, p2 = s2[c]
+            if s1[a][1] > e2:
+                a = d1[a]
+            elif p2:
+                c = d2[c]
+            else:
+                continue
+            if a < 0 or c < 0:
+                raise _dead("f")
+            dst = index.get(a * n + c)
             if dst is not None:
                 edges.append((k, dst, i))
     edges.sort()

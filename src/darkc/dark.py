@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
-from operator import mul
+from operator import getitem, mul
 
-from .cartan import CartanA, aff_level_zero
+from .cartan import AffineWeight, CartanA, aff_level_zero
 from .charring import _Packing, fit_delta_shift, rhs_formula
 from .crystal import EAGER_ROWS, Memo, ProductTable, TensorElt, factor_texts
 from .energy import total_D
@@ -243,6 +243,19 @@ def lhs_character(spec: DarkSpec, dark: DarkSet):
     n, shift = space.width, Memo(lambda d: packing.signs + spec.lam[0] - d * packing.delta)
     kl, kr = row_keys(space.left, len(space.left.wt)), row_keys(space.right, n)
     return packing.poly(Counter(kl[x // n] + kr[x % n] + shift[d] for x, d in energies.items()))
+
+
+def lhs_terms(spec: DarkSpec, dark: DarkSet) -> dict:
+    """The term lam_1 Lambda_0 + aff(wt(b)) - D(b) delta of lhs_character for
+    each code of the set, an AffineWeight each, element by element: for
+    explaining a failed identity, not for speed."""
+    c, space = spec.cartan, dark.product
+    top, delta = AffineWeight((spec.lam[0],) + (0,) * c.n), AffineWeight((0,) * c.m, 1)
+
+    def term(x, d):
+        w = map(getitem, (t.wt for t in space.tables), space.factors(x))
+        return top + aff_level_zero(c, tuple(map(sum, zip(*w)))) - delta * d
+    return {x: term(x, d) for x, d in dark.energies.items()}
 
 
 def rhs_character(spec: DarkSpec):

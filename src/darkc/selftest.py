@@ -102,14 +102,16 @@ def criterion_axioms() -> str:
         families += 1
         wt = space.wt
         elements += len(wt)
-        for x, w in enumerate(wt):
-            if sum(w):
-                _fail(space, "nonzero level at %r", x)
-        bound = max(max(map(max, wt)), -min(map(min, wt)))
+        if any(map(sum, wt)):
+            _fail(space, "nonzero level at %r", next(x for x, w in enumerate(wt) if sum(w)))
+        columns = list(zip(*wt))
+        bound = max(max(map(max, columns)), -min(map(min, columns)))
         if 2 * bound + 2 >= 1 << KEY_BITS:
             raise OverflowError(f"weight coordinate {bound} leaves a {KEY_BITS}-bit digit")
         shifts = range(0, KEY_BITS * c.m, KEY_BITS)
-        keys = [sum(map(lshift, w, shifts)) for w in wt]
+        keys = columns[0]  # one pass per coordinate
+        for column, shift in zip(columns[1:], shifts[1:]):
+            keys = [k + (v << shift) for k, v in zip(keys, column)]
         for i in c.nodes:
             alpha = sum(map(lshift, cl_simple_root(c, i), shifts))
             ups, downs = space.e[i], space.f[i]

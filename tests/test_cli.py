@@ -252,6 +252,30 @@ def test_verify_failure_diff_exact(monkeypatch, capsys, flag, stdout):
                    "only-rhs: coef=2 lam=[2, -1] delta=1/4\n")
 
 
+def test_verify_failure_names_the_elements_behind_each_lhs_term(monkeypatch, capsys):
+    # D of the seed 11|2 (code 1) is shifted by one: its component of two
+    # elements moves onto the terms of 12|1 and 22|1, whose coefficients 2
+    # the rhs lacks.  Stdout and the exit code are those of any failure
+    real = dark.total_D
+    monkeypatch.setattr(dark, "total_D", lambda space, x: real(space, x) + (x == 1))
+    argv = ("verify", "--n", "1", "--lambda", "2,1", "--w", "1;1")
+    for flag, stdout in (((), "FAIL\n"), (("--json",), '{"ok": false, "C": null}\n')):
+        code, out, err = run_main(capsys, *argv, *flag)
+        assert (code, out) == (1, stdout)
+        assert err == ("only-lhs: coef=2 lam=[1, 1] delta=-1\n"
+                       "  element 11|2 D=0\n"
+                       "  element 12|1 D=0\n"
+                       "only-lhs: coef=2 lam=[3, -1] delta=-3/2\n"
+                       "  element 12|2 D=0\n"
+                       "  element 22|1 D=0\n"
+                       "only-rhs: coef=1 lam=[1, 1] delta=-1\n"
+                       "only-rhs: coef=1 lam=[1, 1] delta=0\n"
+                       "only-rhs: coef=1 lam=[3, -1] delta=-3/2\n"
+                       "only-rhs: coef=1 lam=[3, -1] delta=-1/2\n")
+    monkeypatch.undo()
+    assert run_main(capsys, *argv) == (0, "OK C=-5/4\n", "")
+
+
 def test_selftest_modes_report_the_same_failure(monkeypatch, capsys):
     # both modes run selftest.CRITERIA as it stands when the command runs
     def broken():

@@ -1,12 +1,14 @@
 from itertools import product
+from math import prod
 from operator import add, getitem, sub
 
 import pytest
 
 from darkc.cartan import CartanA, cl_simple_root
-from darkc.crystal import (EAGER_ROWS, ModelConsistencyError, ProductTable, TensorElt,
-                           classical_highest_path, demazure_closure, eps, f_closure,
-                           graph_dot, graph_json, phi)
+from darkc.crystal import (EAGER_ROWS, ModelConsistencyError, ProductTable, TensorElt, _Rows,
+                           classical_highest_path, crystal_edges, demazure_closure, eps,
+                           f_closure, graph_dot, graph_json, phi)
+from darkc.dark import build, make_spec
 from darkc.kr import KRTable, generate, parse_tableau
 from darkc.selftest import _axiom_families
 from oracles import clweight
@@ -210,6 +212,60 @@ def test_product_tables_match_codes():
                     ((ep, ph), up, down), (codes.element(x), i)
                 rows += 1
     assert rows == 228260  # 227,688 on products, 572 on the 157 tableaux
+
+
+@pytest.mark.parametrize("shapes", [
+    ((1, 0), (1, 2)), ((1, 2), (2, 0)), ((2, 0), (1, 0)),  # a trivial factor on either side
+    ((1, 2), (1, 0), (1, 1)), ((1, 1), (1, 2), (2, 0)),    # and inside a triple
+    ((2, 1),), ((1, 0),),                                  # one table over the _Unit
+])
+def test_column_passes_on_trivial_and_unit_factors(shapes):
+    # the criterion-1 families all have s >= 1: here a one-element B^{r,0}
+    # and the one-element right factor of a single table meet the steps
+    c = CartanA(2)
+    space = ProductTable.of([generate(c, *sh)[0].table for sh in shapes])
+    tables = space.tables
+    nodes = [_node(space, i) for i in c.nodes]
+    assert len(space.wt) == len(space) == prod(len(t.elements) for t in tables)
+    for x in range(len(space)):
+        factors = space.factors(x)
+        assert space.wt[x] == _fold_weight(space, x)
+        for i in c.nodes:
+            ep, ph, up, down = nodes[i](x)
+            assert (space.stats[i][x], space.e[i][x], space.f[i][x]) == ((ep, ph), up, down)
+        assert [power[x] for power in space.pr_powers] == [
+            _encode(tables, (t.pr_powers[k][j] for t, j in zip(tables, factors)))
+            for k in range(c.m)]
+
+
+def test_a_product_over_rows_has_no_whole_arrays():
+    # with eager_rows=0 the right factor of a triple is read row by row, and
+    # its memos hold only the rows read so far: every whole array of the
+    # product raises, naming that factor, rather than read those rows alone
+    c = CartanA(2)
+    space = ProductTable.of([generate(c, 1, s)[0].table for s in (2, 1, 1)], eager_rows=0)
+    assert isinstance(space.right, _Rows) and len(space) == 54
+    space.right.wt[0], space.right.stats[1][0], space.right.pr_powers[1][0]
+    for name in ("wt", "stats", "e", "f", "pr", "pr_powers"):
+        with pytest.raises(TypeError, match=r"^B\^\{1,1\} \(x\) B\^\{1,1\} is read row by row"):
+            getattr(space, name)
+
+
+def test_edges_read_the_factors_arrays():
+    # crystal_edges against the lowering steps on a three-factor set, over an
+    # enumerated P and over one read row by row
+    dark = build(make_spec(2, (2, 1, 1), (1, 1, 1), [(2, 1), (1,), (2, 1)]))
+    codes = dark.energies
+    nodes = sorted(codes)
+    index = {x: k for k, x in enumerate(nodes)}
+    assert 0 < len(codes) < len(dark.product) == 54
+    for eager_rows in (EAGER_ROWS, 0):
+        space = ProductTable.of(dark.product.tables, eager_rows=eager_rows)
+        assert isinstance(space.right, _Rows) == (eager_rows == 0)
+        steps = sorted((index[x], index[y], i) for i in space.cartan.nodes
+                       for x in nodes for y in [space.lowering(i)(x)] if y in index)
+        assert crystal_edges(space, codes) == (nodes, steps)
+        assert len(steps) > len(nodes)
 
 
 @pytest.mark.parametrize("side, cut", [

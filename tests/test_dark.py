@@ -13,7 +13,7 @@ from darkc.cartan import CartanA
 from darkc.crystal import (Memo, ModelConsistencyError, ProductTable, TensorElt, _Rows,
                            demazure_closure)
 from darkc.dark import (DarkSet, DarkSpec, FactorWord, _close, build, dark_to_json,
-                        full_tensor, lhs_character, make_spec, verify,
+                        full_tensor, lhs_character, lhs_terms, make_spec, verify,
                         verify_detail, well_definedness_check)
 from darkc.charring import CharPoly, char_to_json
 from darkc.cartan import AffineWeight, aff_level_zero
@@ -315,6 +315,7 @@ def test_packed_weight_count_matches_the_tuple_fold(group):
     for spec in specs:
         dark = build(spec)
         assert lhs_character(spec, dark) == folded_lhs(spec, dark), spec
+        assert CharPoly(Counter(lhs_terms(spec, dark).values())) == folded_lhs(spec, dark)
 
 
 def test_packed_weight_digits_follow_the_table_weights(fresh_tables, monkeypatch):

@@ -2,6 +2,8 @@
 and 2 build no tensor objects per element, and all three still catch a broken
 arrow in a KR table."""
 
+import gc
+import tracemalloc
 from collections import Counter
 from functools import cached_property
 
@@ -156,3 +158,24 @@ def test_energy_criterion_builds_no_product_weight_or_promotion(monkeypatch):
     built.clear()
     _tensor_twists()
     assert Counter(name for name, _ in built if name in ("wt", "pr")) == Counter(wt=355, pr=355)
+
+
+def test_criteria_1_and_2_keep_no_product_tables():
+    # each criterion builds its product tables and drops them family by
+    # family: holding all 355 across the two, or from one run to the next,
+    # would keep about 13 MiB traced, against a selftest peak RSS of about
+    # 23 MB.  With warm KR tables a run keeps nothing and peaks at one rank's
+    # tables.  gc.collect() empties CPython's free lists of tuples and lists,
+    # which tracemalloc counts as held (0.15-0.45 MiB of spare tuples)
+    for n in selftest.AXIOM_RANKS:
+        for shape in selftest.single_shapes(n):
+            table = generate(CartanA(n), *shape)[0].table
+            table.stats, table.e, table.f, table.wt, table.pr_inv, table.pr_powers
+    tracemalloc.start()
+    try:
+        criterion_axioms(), criterion_twists()
+        gc.collect()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.1 * 2**20 and peak < 3 * 2**20, (kept, peak)
